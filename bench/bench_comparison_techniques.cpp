@@ -14,6 +14,7 @@
 #include "render/glyphs.hpp"
 #include "util/cli.hpp"
 #include "util/stopwatch.hpp"
+#include "util/threading.hpp"
 
 namespace {
 
@@ -74,8 +75,11 @@ int main(int argc, char** argv) {
     const util::Stopwatch watch;
     const auto lic_texture = core::lic(*f, noise, lc);
     const double ms = watch.millis();
-    std::printf("%21s/%dt %12.1f %12.2f\n", "LIC", threads, ms,
-                anisotropy(lic_texture));
+    std::printf("%21s/%dt %12.1f %12.2f", "LIC", threads, ms, anisotropy(lic_texture));
+    // LicConfig::threads is a participant cap, clamped to the hardware.
+    if (threads > util::hardware_threads())
+      std::printf("  (capped at %d hardware threads)", util::hardware_threads());
+    std::printf("\n");
   }
 
   // Arrow plot: near-free but discrete (no anisotropy measure applies; its

@@ -212,7 +212,7 @@ BENCHMARK(BM_HighPass);
 
 // ------------------------------------------------------- simd kernels ---
 // Every dispatched kernel at every tier the host can run (arg 0 = tier:
-// 0 scalar, 1 sse2, 2 avx2, 3 neon; unavailable tiers skip). Items are
+// 0 scalar, 1 avx2, 2 neon; unavailable tiers skip). Items are
 // lanes (fragments for the samplers), so rates compare across tiers.
 
 constexpr std::size_t kSimdLanes = 4096;
@@ -246,7 +246,7 @@ void BM_SimdAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kSimdLanes));
 }
-BENCHMARK(BM_SimdAdd)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SimdAdd)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdAddScaled(benchmark::State& state) {
   util::simd::Tier tier;
@@ -261,7 +261,7 @@ void BM_SimdAddScaled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kSimdLanes));
 }
-BENCHMARK(BM_SimdAddScaled)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SimdAddScaled)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdMaxScaled(benchmark::State& state) {
   util::simd::Tier tier;
@@ -276,7 +276,7 @@ void BM_SimdMaxScaled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kSimdLanes));
 }
-BENCHMARK(BM_SimdMaxScaled)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SimdMaxScaled)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdMaxWith(benchmark::State& state) {
   util::simd::Tier tier;
@@ -290,7 +290,7 @@ void BM_SimdMaxWith(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kSimdLanes));
 }
-BENCHMARK(BM_SimdMaxWith)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SimdMaxWith)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdQuantizeSpan(benchmark::State& state) {
   util::simd::Tier tier;
@@ -305,7 +305,7 @@ void BM_SimdQuantizeSpan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kSimdLanes));
 }
-BENCHMARK(BM_SimdQuantizeSpan)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SimdQuantizeSpan)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 // The fused span sampler over a synthetic profile table: a diagonal 32.32
 // walk, single spans of 24 fragments, and the batched form over 64 spans of
@@ -341,7 +341,7 @@ void BM_SimdSampleRow(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kLen));
 }
-BENCHMARK(BM_SimdSampleRow)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SimdSampleRow)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdSampleRowsBatch(benchmark::State& state) {
   util::simd::Tier tier;
@@ -367,7 +367,7 @@ void BM_SimdSampleRowsBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(kCount * kLen));
 }
 BENCHMARK(BM_SimdSampleRowsBatch)
-    ->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+    ->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_NormalizeContrast(benchmark::State& state) {
   render::Framebuffer fb(512, 512);

@@ -19,7 +19,7 @@
 //   5. gates: span must reach >= 2.0x reference throughput (1.5x with
 //      --smoke, whose workload is too small to amortize setup), AND — when
 //      the host has AVX2 — the avx2 tier must reach >= 1.5x the scalar
-//      (omp-simd) tier's span-kernel fragment throughput (1.2x with
+//      (portable reference) tier's span-kernel fragment throughput (1.2x with
 //      --smoke), else the process exits nonzero.
 //
 // usage: bench_raster_kernel [--smoke] [--json <path>]

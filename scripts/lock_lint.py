@@ -27,6 +27,10 @@ annotations cannot rot while the tree is built with GCC:
   R5  no direct .lock()/.unlock()/.try_lock()/.lock_shared() calls on mutex
       objects outside the wrapper header — RAII only.
                           waiver: // lock-lint: allow-direct-lock
+  R6  no OpenMP in src/: no `#pragma omp` and no <omp.h>. Every thread
+      comes from core::Runtime (Runtime::parallel / parallel_for for data-
+      parallel loops); a second pool would fight it for the cores and hide
+      its barriers from ThreadSanitizer.          no waiver
 
 Waiver comments apply to the line they sit on or the line directly below
 them. Exit status: 0 clean, 1 violations, 2 usage error.
@@ -76,6 +80,7 @@ MEMBER_DECL = re.compile(
     r"(?P<name>\w+_?)\s*(?P<anno>DCSN_(?:PT_)?GUARDED_BY\([^)]*\))?\s*"
     r"(?:=\s*[^;]*|\{[^}]*\})?\s*;"
 )
+OPENMP = re.compile(r"^\s*#\s*pragma\s+omp\b|#\s*include\s*[<\"]omp\.h[>\"]")
 WAIVER = re.compile(r"//\s*lock-lint:\s*(allow-std|standalone|allow-direct-lock|unguarded\([^)]*\))")
 
 
@@ -220,6 +225,13 @@ def check_file(path: Path, wrapper_header: str) -> list[Violation]:
                     "raw std synchronization primitive — use util::Mutex / "
                     "util::MutexLock / util::CondVar (waiver: lock-lint: allow-std)"))
 
+        # R6: OpenMP.
+        if OPENMP.search(code):
+            violations.append(Violation(
+                "R6", path, idx + 1,
+                "OpenMP in src/ — every thread comes from core::Runtime "
+                "(use Runtime::parallel / parallel_for)"))
+
         # R5: direct lock()/unlock() calls.
         if not is_wrapper and DIRECT_LOCK.search(code):
             if not has_waiver(lines, idx, "allow-direct-lock"):
@@ -356,7 +368,7 @@ def self_test(root: Path) -> int:
         print("lock_lint self-test FAILED: good_tree should be clean, got:")
         for v in good:
             print(f"  {v}")
-    expected = {"R1", "R2", "R3", "R4", "R5"}
+    expected = {"R1", "R2", "R3", "R4", "R5", "R6"}
     seen = {v.rule for v in bad}
     if seen != expected:
         ok = False

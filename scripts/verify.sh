@@ -40,7 +40,7 @@
 #   scripts/verify.sh --simd-tiers   # SIMD-tier mode: runs the determinism
 #                                    # and golden-frame suites once per SIMD
 #                                    # tier available on this host (scalar,
-#                                    # then sse2/avx2 or neon) by setting
+#                                    # then avx2 or neon) by setting
 #                                    # DCSN_SIMD, plus the cross-tier
 #                                    # byte-equality suite (test_simd). A
 #                                    # divergent tier means an intrinsic
@@ -139,16 +139,15 @@ if [[ "$RUN_SIMD_TIERS" -eq 1 ]]; then
   # Per-tier determinism verification: the same pixels must fall out of
   # every SIMD tier, so the determinism and golden-frame suites run once
   # per tier under DCSN_SIMD. Tier availability mirrors the dispatcher's
-  # detection (sse2 is x86-64 baseline, avx2 from the cpuinfo flag, neon is
-  # aarch64 baseline); if the shell overshoots, the dispatcher warns and
-  # falls back, so an overshoot weakens the check rather than failing it.
+  # detection (avx2 from the cpuinfo flag, neon is aarch64 baseline); if
+  # the shell overshoots, the dispatcher warns and falls back, so an
+  # overshoot weakens the check rather than failing it.
   echo "== SIMD tier verification (determinism + golden per DCSN_SIMD tier) =="
   cmake --build "$BUILD_DIR" -j "$JOBS" --target test_determinism test_golden_frames test_simd
   check_goldens
   tiers="scalar"
   case "$(uname -m)" in
     x86_64|amd64)
-      tiers+=" sse2"
       grep -qw avx2 /proc/cpuinfo 2>/dev/null && tiers+=" avx2" ;;
     aarch64|arm64) tiers+=" neon" ;;
   esac
@@ -201,11 +200,12 @@ if [[ "$RUN_ASAN" -eq 1 ]]; then
 fi
 
 if [[ "$RUN_TSAN" -eq 1 ]]; then
-  # The scheduler's cross-group stealing, the shared runtime/service, and
-  # the pipe/queue machinery are the code where a data race would hide; run
+  # The scheduler's cross-group stealing, the shared runtime/service, the
+  # pipe/queue machinery, and every loop on Runtime::parallel (solvers,
+  # particles, LIC, filters) are the code where a data race would hide; run
   # exactly those suites instrumented. gtest discovery re-runs each binary,
   # so build only what we need.
-  TSAN_SUITES=(test_scheduling test_synthesizers test_service test_pipe test_tile_store test_util test_faults test_net test_simd)
+  TSAN_SUITES=(test_scheduling test_synthesizers test_service test_pipe test_tile_store test_util test_faults test_net test_simd test_sim test_particles test_extensions test_filters_perf)
   echo "== ThreadSanitizer pass (build-tsan) =="
   cmake --preset tsan
   cmake --build --preset tsan -j "$JOBS" --target "${TSAN_SUITES[@]}"

@@ -5,12 +5,18 @@
 #include <cmath>
 #include <vector>
 
+#include "core/runtime.hpp"
 #include "render/image.hpp"
 #include "util/error.hpp"
 
 namespace dcsn::core {
 
 namespace {
+
+// Rows per chunk of the per-pixel loops on the shared runtime pool; every
+// row writes only its own pixels (the transpose only its own column). On a
+// 512x512 texture, 64 rows measured fastest of 16/32/64/128/256.
+constexpr std::int64_t kRowGrain = 64;
 
 // One horizontal box-blur pass from src into dst (running-sum, O(1) per px).
 void blur_rows(util::Span2D<const float> src, util::Span2D<float> dst, int radius) {
@@ -39,9 +45,10 @@ render::Framebuffer transpose(const render::Framebuffer& src) {
   render::Framebuffer dst(src.height(), src.width());
   const auto in = src.pixels();
   auto out = dst.pixels();
-#pragma omp parallel for schedule(static)
-  for (int y = 0; y < in.height(); ++y)
-    for (int x = 0; x < in.width(); ++x) out(y, x) = in(x, y);
+  Runtime::global().parallel_for(in.height(), kRowGrain, [&](int y0, int y1) {
+    for (int y = y0; y < y1; ++y)
+      for (int x = 0; x < in.width(); ++x) out(y, x) = in(x, y);
+  });
   return dst;
 }
 
@@ -64,9 +71,10 @@ render::Framebuffer high_pass(const render::Framebuffer& texture, int radius) {
   const auto in = texture.pixels();
   const auto lo = low.pixels();
   auto dst = out.pixels();
-#pragma omp parallel for schedule(static)
-  for (int y = 0; y < in.height(); ++y)
-    for (int x = 0; x < in.width(); ++x) dst(x, y) = in(x, y) - lo(x, y);
+  Runtime::global().parallel_for(in.height(), kRowGrain, [&](int y0, int y1) {
+    for (int y = y0; y < y1; ++y)
+      for (int x = 0; x < in.width(); ++x) dst(x, y) = in(x, y) - lo(x, y);
+  });
   return out;
 }
 
@@ -78,9 +86,10 @@ void normalize_contrast(render::Framebuffer& texture, double sigmas) {
   const auto scale = static_cast<float>(1.0 / (sigmas * sigma));
   const auto offset = static_cast<float>(mean);
   auto px = texture.pixels();
-#pragma omp parallel for schedule(static)
-  for (int y = 0; y < px.height(); ++y)
-    for (int x = 0; x < px.width(); ++x) px(x, y) = (px(x, y) - offset) * scale;
+  Runtime::global().parallel_for(px.height(), kRowGrain, [&](int y0, int y1) {
+    for (int y = y0; y < y1; ++y)
+      for (int x = 0; x < px.width(); ++x) px(x, y) = (px(x, y) - offset) * scale;
+  });
 }
 
 void equalize_histogram(render::Framebuffer& texture) {
@@ -102,13 +111,14 @@ void equalize_histogram(render::Framebuffer& texture) {
     acc += static_cast<double>(histogram[static_cast<std::size_t>(b)]);
     cdf[static_cast<std::size_t>(b)] = acc / total;
   }
-#pragma omp parallel for schedule(static)
-  for (int y = 0; y < px.height(); ++y)
-    for (int x = 0; x < px.width(); ++x) {
-      const int bin = static_cast<int>((px(x, y) - lo) * scale);
-      const double c = cdf[static_cast<std::size_t>(std::clamp(bin, 0, kBins - 1))];
-      px(x, y) = static_cast<float>(c * 2.0 - 1.0);
-    }
+  Runtime::global().parallel_for(px.height(), kRowGrain, [&](int y0, int y1) {
+    for (int y = y0; y < y1; ++y)
+      for (int x = 0; x < px.width(); ++x) {
+        const int bin = static_cast<int>((px(x, y) - lo) * scale);
+        const double c = cdf[static_cast<std::size_t>(std::clamp(bin, 0, kBins - 1))];
+        px(x, y) = static_cast<float>(c * 2.0 - 1.0);
+      }
+  });
 }
 
 }  // namespace dcsn::core

@@ -1,12 +1,64 @@
 #include "core/runtime.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <string>
 
 #include "util/error.hpp"
-#include "util/threading.hpp"
 
 namespace dcsn::core {
+
+namespace {
+
+// One parallel() call in flight. Heap-owned via shared_ptr because pool
+// workers may call serve() from a stale registry snapshot after the call
+// returned: a closed job refuses the join before touching `body`, which
+// lives in the caller's frame.
+struct ParallelJob final : Runtime::SharedJob {
+  ParallelJob(std::int64_t n, std::int64_t grain, int max_participants,
+              const std::function<void(util::WorkCounter&)>& body)
+      : work(n, grain), max_participants(max_participants), body(body) {}
+
+  bool serve() override {
+    {
+      util::MutexLock lock(mutex);
+      if (closed || work.drained() || active >= max_participants) return false;
+      ++active;
+    }
+    participate();
+    leave();
+    return true;
+  }
+
+  void participate() {
+    try {
+      body(work);
+    } catch (...) {
+      work.cancel();  // the other participants stop at their next claim
+      util::MutexLock lock(mutex);
+      if (!error) error = std::current_exception();
+    }
+  }
+
+  void leave() {
+    {
+      util::MutexLock lock(mutex);
+      --active;
+    }
+    cv.notify_all();
+  }
+
+  util::WorkCounter work;  // lock-lint: unguarded(internally synchronized)
+  const int max_participants;
+  const std::function<void(util::WorkCounter&)>& body;
+  util::Mutex mutex;
+  util::CondVar cv;
+  int active DCSN_GUARDED_BY(mutex) = 1;  ///< the caller's seat, taken up front
+  bool closed DCSN_GUARDED_BY(mutex) = false;
+  std::exception_ptr error DCSN_GUARDED_BY(mutex);
+};
+
+}  // namespace
 
 PipeLease& PipeLease::operator=(PipeLease&& other) noexcept {
   if (this != &other) {
@@ -91,6 +143,33 @@ void Runtime::post(std::function<void()> fn) {
     ++epoch_;
   }
   cv_.notify_all();
+}
+
+void Runtime::parallel(std::int64_t n, std::int64_t grain, int max_participants,
+                       const std::function<void(util::WorkCounter&)>& body) {
+  DCSN_CHECK(grain >= 1, "parallel grain must be >= 1");
+  static const int hardware = util::hardware_threads();
+  const int cap = std::min(max_participants > 0 ? max_participants : hardware, hardware);
+  if (n <= grain || cap <= 1) {
+    util::WorkCounter work(n, grain);
+    body(work);
+    return;
+  }
+  ensure_workers(cap - 1);  // the caller is the cap-th participant
+  auto job = std::make_shared<ParallelJob>(n, grain, cap, body);
+  register_job(job);
+  job->participate();
+  std::exception_ptr error;
+  {
+    util::MutexLock lock(job->mutex);
+    --job->active;
+    job->cv.wait(lock, [&]() DCSN_REQUIRES(job->mutex) { return job->active == 0; });
+    job->closed = true;
+    error = job->error;
+  }
+  // Deregister before rethrowing, so a failed loop never leaks a job.
+  deregister_job(job.get());
+  if (error) std::rethrow_exception(error);
 }
 
 void Runtime::worker_loop(int worker_id) {

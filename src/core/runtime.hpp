@@ -30,8 +30,12 @@
 // when the pool is empty or absorbed by other sessions.
 //
 // One-shot tasks (post/async) ride the same pool: the pipelined animator's
-// prepare step and the serial synthesizer's partial workers are tasks, not
-// private threads.
+// prepare step is a task, not a private thread. Data-parallel loops ride it
+// too (parallel / parallel_for): the serial synthesizer's partial
+// reduction, the DNS and smog solvers, the texture filters, LIC and the
+// particle advection each register a short-lived job that the calling
+// thread and pool workers drain together. The process has one pool; there
+// is no second runtime (such as OpenMP's) competing for the cores.
 //
 // A process-global Runtime (Runtime::global()) backs every constructor that
 // does not name one, which is what keeps the entire pre-runtime API — and
@@ -54,6 +58,7 @@
 #include "render/framebuffer_pool.hpp"
 #include "render/pipe.hpp"
 #include "util/thread_annotations.hpp"
+#include "util/threading.hpp"
 
 namespace dcsn::core {
 
@@ -173,6 +178,36 @@ class Runtime {
     std::future<R> result = task->get_future();
     post([task] { (*task)(); });
     return result;
+  }
+
+  // --- data-parallel loops ---
+
+  /// Runs a data-parallel loop over [0, n) on this pool. The range is cut
+  /// into chunks of `grain` items, a partition fixed by n and grain alone:
+  /// whatever a body computes per chunk cannot depend on how many threads
+  /// joined. `body` runs once per participant and claims chunks from the
+  /// shared counter until a claim comes back empty, so per-participant
+  /// state (the serial synthesizer's partial framebuffer) lives in the
+  /// body's own frame. The calling thread always participates, and pool
+  /// workers join up to `max_participants` in total (0 = one per hardware
+  /// thread, never more). The call therefore completes even from a pool
+  /// task with no idle worker. Work of at most one grain, or a cap of one,
+  /// runs inline on the caller and never touches the pool. An exception from
+  /// any participant stops further claims and is rethrown here, after every
+  /// participant has left and the job is deregistered.
+  void parallel(std::int64_t n, std::int64_t grain, int max_participants,
+                const std::function<void(util::WorkCounter&)>& body);
+
+  /// parallel() for bodies without per-participant state: fn(begin, end)
+  /// runs once per claimed chunk, in the index type of `n`.
+  template <class Index, class Fn>
+  void parallel_for(Index n, std::int64_t grain, Fn&& fn, int max_participants = 0) {
+    parallel(static_cast<std::int64_t>(n), grain, max_participants,
+             [&fn](util::WorkCounter& work) {
+               for (auto r = work.claim(); !r.empty(); r = work.claim()) {
+                 fn(static_cast<Index>(r.begin), static_cast<Index>(r.end));
+               }
+             });
   }
 
   // --- device pools ---

@@ -8,12 +8,13 @@
 // processed into worker-private framebuffers that are summed at the end —
 // valid because lattice-snapped addition commutes exactly.
 //
-// The threads > 1 path borrows its workers from the shared core::Runtime
-// (the same pool the divide-and-conquer engine multiplexes) and its
-// worker-private partials from the runtime's framebuffer pool, instead of
-// opening a private OpenMP region: one pool serves every synthesis strategy
-// in the process, and the path stays visible to ThreadSanitizer (libgomp's
-// barriers are not instrumented).
+// Every path runs through core::Runtime::parallel: the calling thread and
+// up to threads - 1 workers of the shared pool (the same pool the
+// divide-and-conquer engine multiplexes) claim fixed 64-spot chunks; each
+// participant rasterizes into its own partial from the runtime's
+// framebuffer pool. One pool serves
+// every synthesis strategy in the process, and the path stays visible to
+// ThreadSanitizer.
 //
 // It is also the reference implementation the divide-and-conquer engine is
 // tested against: for the same spots both must produce the same texture
@@ -32,6 +33,8 @@ namespace dcsn::core {
 
 struct SerialStats {
   double total_seconds = 0.0;
+  // genP and genT: thread-CPU seconds summed over participants, at every
+  // thread count.
   double genP_seconds = 0.0;  ///< geometry generation
   double genT_seconds = 0.0;  ///< scan conversion + blending
   std::int64_t spots = 0;
@@ -41,15 +44,14 @@ struct SerialStats {
 
 class SerialSynthesizer {
  public:
-  /// Borrows from the process-global Runtime for threads > 1.
+  /// Borrows from the process-global Runtime.
   explicit SerialSynthesizer(SynthesisConfig config);
   SerialSynthesizer(SynthesisConfig config, Runtime& runtime);
 
   /// Renders `spots` over `f` into the internal texture and returns stats.
-  /// threads == 1 reproduces the historical serial path bit-for-bit for a
-  /// fixed seed; threads > 1 parallelizes over the runtime's worker pool
-  /// (the calling thread always participates, so progress never depends on
-  /// pool availability).
+  /// `threads` caps the participants (at most one per hardware thread). The
+  /// texture is bit-identical for every thread count, and the calling thread
+  /// always participates, so progress never depends on pool availability.
   SerialStats synthesize(const field::VectorField& f,
                          std::span<const SpotInstance> spots, int threads = 1);
 

@@ -1,12 +1,21 @@
 #include "particles/particle_system.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numbers>
 
+#include "core/runtime.hpp"
 #include "util/error.hpp"
 
 namespace dcsn::particles {
+
+namespace {
+
+// Particles per chunk of advance() on the shared runtime pool.
+constexpr std::int64_t kParticleGrain = 256;
+
+}  // namespace
 
 ParticleSystem::ParticleSystem(ParticleSystemConfig config, field::Rect domain,
                                util::Rng rng)
@@ -30,23 +39,29 @@ void ParticleSystem::advance(const field::VectorField& f, double dt) {
   const auto n = static_cast<std::int64_t>(particles_.size());
   const std::uint64_t gen_salt =
       stream_seed_ ^ (static_cast<std::uint64_t>(generation_) * 0x9e3779b97f4a7c15ULL);
-  std::int64_t respawned = 0;
-#pragma omp parallel for schedule(static) reduction(+ : respawned)
-  for (std::int64_t idx = 0; idx < n; ++idx) {
-    Particle& p = particles_[static_cast<std::size_t>(idx)];
-    p.position = step(f, p.position, dt, config_.method);
-    p.age += dt;
-    const bool died = p.age >= p.lifetime;
-    const bool escaped =
-        config_.respawn_out_of_domain && !domain_.contains(p.position);
-    if (died || escaped) {
-      // Per-particle deterministic stream: independent of thread count.
-      util::Rng local(gen_salt ^ static_cast<std::uint64_t>(idx));
-      respawn(p, local);
-      ++respawned;
+  // Each chunk adds its own respawn count: an integer sum, exact in any
+  // order.
+  std::atomic<std::int64_t> respawned{0};
+  const auto advance_chunk = [&](std::int64_t begin, std::int64_t end) {
+    std::int64_t chunk_respawned = 0;
+    for (std::int64_t idx = begin; idx < end; ++idx) {
+      Particle& p = particles_[static_cast<std::size_t>(idx)];
+      p.position = step(f, p.position, dt, config_.method);
+      p.age += dt;
+      const bool died = p.age >= p.lifetime;
+      const bool escaped =
+          config_.respawn_out_of_domain && !domain_.contains(p.position);
+      if (died || escaped) {
+        // Per-particle deterministic stream: independent of thread count.
+        util::Rng local(gen_salt ^ static_cast<std::uint64_t>(idx));
+        respawn(p, local);
+        ++chunk_respawned;
+      }
     }
-  }
-  last_respawns_ = respawned;
+    respawned.fetch_add(chunk_respawned, std::memory_order_relaxed);
+  };
+  core::Runtime::global().parallel_for(n, kParticleGrain, advance_chunk);
+  last_respawns_ = respawned.load(std::memory_order_relaxed);
 }
 
 double ParticleSystem::fade_weight(const Particle& p, double fade_fraction) {

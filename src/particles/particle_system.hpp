@@ -39,9 +39,9 @@ class ParticleSystem {
   ParticleSystem(ParticleSystemConfig config, field::Rect domain, util::Rng rng);
 
   /// Advects every particle by `dt` through `f`, ages it, and respawns those
-  /// that died or left the domain. Parallelized with OpenMP; respawn draws
-  /// come from per-particle hash streams so results are independent of the
-  /// thread count.
+  /// that died or left the domain. Parallelized over fixed chunks on the
+  /// shared core::Runtime pool; respawn draws come from per-particle hash
+  /// streams so results are independent of the thread count.
   ///
   /// Temporal-coherence guarantee: a particle whose local velocity is zero
   /// keeps its position bit for bit (the integrators add an exact 0.0), and

@@ -323,7 +323,7 @@ void raster_tri_span(const RasterTarget& target, MeshVertex va, MeshVertex vb,
 
   SpotProfile::RowSampler sampler(profile, du_dx, dv_dx);
 
-  // The runtime-dispatched kernel tier (scalar / SSE2 / AVX2 / NEON),
+  // The runtime-dispatched kernel tier (scalar / AVX2 / NEON),
   // resolved once per triangle. Every tier is bit-identical to the scalar
   // expressions (util/simd_dispatch.hpp), so the dispatch choice can never
   // show in the pixels — only in the frame time.

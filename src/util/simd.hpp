@@ -1,11 +1,11 @@
 // Portable SIMD kernel layer for the pixel hot paths.
 //
-// Every kernel is a restrict-qualified straight-line loop annotated with
-// `#pragma omp simd`. With OpenMP (or any compiler that honours the pragma)
-// the loop vectorizes; without it the pragma is ignored and the same code
-// runs as the scalar fallback — no intrinsics, no runtime dispatch, no
-// second code path to keep correct. Callers guarantee that `dst` and `src`
-// do not alias; the restrict qualifier is what licenses the vectorization.
+// Every kernel is a restrict-qualified straight-line loop: no intrinsics,
+// no runtime dispatch, no second code path to keep correct. These are the
+// scalar tier of util/simd_dispatch.hpp and the single reference every
+// explicit-SIMD tier is tested against; the compiler auto-vectorizes what
+// it can. Callers guarantee that `dst` and `src` do not alias; the restrict
+// qualifier is what licenses the vectorization.
 //
 // Semantics are pinned to the scalar expressions the rasterizer uses
 // (`dst += quantize_contribution(w * src)`, max spelled as a comparison),
@@ -67,7 +67,6 @@ inline float quantize_contribution(float v) {
 /// operands hold in-range lattice sums.
 inline void add(float* __restrict__ dst, const float* __restrict__ src,
                 std::size_t n) {
-#pragma omp simd
   // determinism: lattice-exact — both operands hold in-range lattice sums
   for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
 }
@@ -76,14 +75,12 @@ inline void add(float* __restrict__ dst, const float* __restrict__ src,
 /// sum, snapped to the contribution lattice).
 inline void add_scaled(float* __restrict__ dst, const float* __restrict__ src,
                        float w, std::size_t n) {
-#pragma omp simd
   for (std::size_t i = 0; i < n; ++i) dst[i] += quantize_contribution(w * src[i]);
 }
 
 /// dst[i] = max(dst[i], quantize(w * src[i])) — maximum spot blending.
 inline void max_scaled(float* __restrict__ dst, const float* __restrict__ src,
                        float w, std::size_t n) {
-#pragma omp simd
   for (std::size_t i = 0; i < n; ++i) {
     const float s = quantize_contribution(w * src[i]);
     dst[i] = dst[i] < s ? s : dst[i];
@@ -93,7 +90,6 @@ inline void max_scaled(float* __restrict__ dst, const float* __restrict__ src,
 /// dst[i] = max(dst[i], v) — maximum blend against a constant (the span
 /// rasterizer's zero-texel flanks, where the reference blends w * 0).
 inline void max_with(float* __restrict__ dst, float v, std::size_t n) {
-#pragma omp simd
   for (std::size_t i = 0; i < n; ++i) dst[i] = dst[i] < v ? v : dst[i];
 }
 
@@ -101,7 +97,6 @@ inline void max_with(float* __restrict__ dst, float v, std::size_t n) {
 /// Like every kernel here, dst and src must not alias.
 inline void quantize_span(float* __restrict__ dst, const float* __restrict__ src,
                           std::size_t n) {
-#pragma omp simd
   for (std::size_t i = 0; i < n; ++i) dst[i] = quantize_contribution(src[i]);
 }
 

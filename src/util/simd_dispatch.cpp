@@ -96,7 +96,6 @@ void sample_row_portable(float* dst, const SampleSpan& s, std::size_t n) {
   std::size_t k = 0;
   while (k < n) {
     const std::size_t chunk = n - k < kRowTile ? n - k : kRowTile;
-#pragma omp simd
     for (std::size_t i = 0; i < chunk; ++i) texels[i] = bilinear_at(s, k + i);
     if constexpr (Additive) {
       simd::add_scaled(dst + k, texels, s.weight, chunk);
@@ -125,126 +124,16 @@ constexpr KernelTable kScalarTable = {
 };
 
 // ---------------------------------------------------------------------------
-// SSE2 tier (x86-64 baseline): 128-bit lanes. Select is spelled with
-// and/andnot/or (no SSE4.1 blendv at this tier); comparisons are the quiet
-// ordered forms, so a NaN lane selects the scalar expression's branch.
-// ---------------------------------------------------------------------------
-#if defined(__x86_64__)
-
-// mask ? b : a, bit-select semantics (mask lanes are all-ones/all-zeros).
-inline __m128 select128(__m128 a, __m128 b, __m128 mask) {
-  return _mm_or_ps(_mm_and_ps(mask, b), _mm_andnot_ps(mask, a));
-}
-
-// The lattice snap, lane-for-lane identical to quantize_contribution:
-// the same three single-rounded ops, the same negated in-range guard
-// (a NaN lane fails both compares and passes through untouched).
-inline __m128 quantize128(__m128 v) {
-  const __m128 x = _mm_mul_ps(v, _mm_set1_ps(kContributionScale));
-  const __m128 in_range = _mm_and_ps(_mm_cmpgt_ps(x, _mm_set1_ps(-4194304.0f)),
-                                     _mm_cmplt_ps(x, _mm_set1_ps(4194304.0f)));
-  const __m128 magic = _mm_set1_ps(12582912.0f);  // 1.5 * 2^23
-  const __m128 snapped = _mm_mul_ps(_mm_sub_ps(_mm_add_ps(x, magic), magic),
-                                    _mm_set1_ps(kContributionQuantum));
-  return select128(v, snapped, in_range);
-}
-
-void add_sse2(float* dst, const float* src, std::size_t n) {
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    // determinism: lattice-exact — both operands hold in-range lattice sums
-    const __m128 sum = _mm_add_ps(_mm_loadu_ps(dst + k), _mm_loadu_ps(src + k));
-    _mm_storeu_ps(dst + k, sum);
-  }
-  if (k < n) simd::add(dst + k, src + k, n - k);
-}
-
-void add_scaled_sse2(float* dst, const float* src, float w, std::size_t n) {
-  const __m128 wv = _mm_set1_ps(w);
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128 s = quantize128(_mm_mul_ps(wv, _mm_loadu_ps(src + k)));
-    _mm_storeu_ps(dst + k, _mm_add_ps(_mm_loadu_ps(dst + k), s));
-  }
-  if (k < n) simd::add_scaled(dst + k, src + k, w, n - k);
-}
-
-void max_scaled_sse2(float* dst, const float* src, float w, std::size_t n) {
-  const __m128 wv = _mm_set1_ps(w);
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128 s = quantize128(_mm_mul_ps(wv, _mm_loadu_ps(src + k)));
-    const __m128 d = _mm_loadu_ps(dst + k);
-    _mm_storeu_ps(dst + k, select128(d, s, _mm_cmplt_ps(d, s)));
-  }
-  if (k < n) simd::max_scaled(dst + k, src + k, w, n - k);
-}
-
-void max_with_sse2(float* dst, float v, std::size_t n) {
-  const __m128 s = _mm_set1_ps(v);
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128 d = _mm_loadu_ps(dst + k);
-    _mm_storeu_ps(dst + k, select128(d, s, _mm_cmplt_ps(d, s)));
-  }
-  if (k < n) simd::max_with(dst + k, v, n - k);
-}
-
-void quantize_sse2(float* dst, const float* src, std::size_t n) {
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    _mm_storeu_ps(dst + k, quantize128(_mm_loadu_ps(src + k)));
-  }
-  if (k < n) simd::quantize_span(dst + k, src + k, n - k);
-}
-
-// SSE2 has no gather: stage texels with the scalar fetch (identical bits),
-// then blend the contiguous chunk with the 128-bit kernels.
-template <bool Additive>
-void sample_row_sse2(float* dst, const SampleSpan& s, std::size_t n) {
-  if (n < kFusedSpan) {
-    sample_row_portable<Additive>(dst, s, n);
-    return;
-  }
-  float texels[kRowTile];
-  std::size_t k = 0;
-  while (k < n) {
-    const std::size_t chunk = n - k < kRowTile ? n - k : kRowTile;
-    for (std::size_t i = 0; i < chunk; ++i) texels[i] = bilinear_at(s, k + i);
-    if constexpr (Additive) {
-      add_scaled_sse2(dst + k, texels, s.weight, chunk);
-    } else {
-      max_scaled_sse2(dst + k, texels, s.weight, chunk);
-    }
-    k += chunk;
-  }
-}
-
-template <bool Additive>
-void sample_rows_sse2(float* const* dst, const SampleSpan* spans,
-                      const std::uint32_t* lens, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    sample_row_sse2<Additive>(dst[i], spans[i], lens[i]);
-  }
-}
-
-constexpr KernelTable kSse2Table = {
-    &add_sse2,        &add_scaled_sse2,
-    &max_scaled_sse2, &max_with_sse2,
-    &quantize_sse2,   &sample_row_sse2<true>,
-    &sample_row_sse2<false>,
-    &sample_rows_sse2<true>,
-    &sample_rows_sse2<false>,
-};
-
-// ---------------------------------------------------------------------------
 // AVX2 tier: 256-bit lanes and the fully fused span sampler — the 32.32
 // fixed-point walk runs eight fragments at a time in 64-bit integer lanes,
 // the four bilinear neighbours come in as gathers from the padded profile
 // table, and the lerp/quantize/blend is straight-line vector float math.
 // Compiled with the per-function target attribute, so the translation unit
-// itself needs no -mavx2 and the binary still boots on SSE2-only hosts.
+// itself needs no -mavx2 and the binary still boots on hosts without AVX2
+// (where the scalar tier runs).
 // ---------------------------------------------------------------------------
+#if defined(__x86_64__)
+
 #define DCSN_TARGET_AVX2 __attribute__((target("avx2")))
 
 DCSN_TARGET_AVX2 inline __m256 quantize256(__m256 v) {
@@ -810,8 +699,8 @@ constexpr KernelTable kNeonTable = {
 Tier detect_best() {
 #if defined(__x86_64__)
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
-  return Tier::kSse2;  // architectural baseline on x86-64
+  // Without AVX2 the scalar tier runs: x86-64 scalar code is SSE2 already.
+  return __builtin_cpu_supports("avx2") ? Tier::kAvx2 : Tier::kScalar;
 #elif defined(__aarch64__)
   return Tier::kNeon;  // architectural baseline on aarch64
 #else
@@ -827,7 +716,7 @@ Tier init_tier() {
   if (!tier_from_name(env, requested)) {
     std::fprintf(stderr,
                  "dcsn: unknown DCSN_SIMD value '%s' "
-                 "(expected scalar|sse2|avx2|neon); using %s\n",
+                 "(expected scalar|avx2|neon); using %s\n",
                  env, tier_name(best));
     return best;
   }
@@ -852,8 +741,6 @@ bool tier_available(Tier tier) {
     case Tier::kScalar:
       return true;
 #if defined(__x86_64__)
-    case Tier::kSse2:
-      return true;
     case Tier::kAvx2:
       __builtin_cpu_init();
       return __builtin_cpu_supports("avx2");
@@ -869,7 +756,7 @@ bool tier_available(Tier tier) {
 
 std::vector<Tier> available_tiers() {
   std::vector<Tier> tiers;
-  for (const Tier t : {Tier::kScalar, Tier::kSse2, Tier::kAvx2, Tier::kNeon}) {
+  for (const Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kNeon}) {
     if (tier_available(t)) tiers.push_back(t);
   }
   return tiers;
@@ -879,8 +766,6 @@ const KernelTable& kernels_for(Tier tier) {
   DCSN_CHECK(tier_available(tier), "requested SIMD tier is not available on this host");
   switch (tier) {
 #if defined(__x86_64__)
-    case Tier::kSse2:
-      return kSse2Table;
     case Tier::kAvx2:
       return kAvx2Table;
 #endif
@@ -913,8 +798,6 @@ const char* tier_name(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return "scalar";
-    case Tier::kSse2:
-      return "sse2";
     case Tier::kAvx2:
       return "avx2";
     case Tier::kNeon:
@@ -924,7 +807,7 @@ const char* tier_name(Tier tier) {
 }
 
 bool tier_from_name(std::string_view name, Tier& out) {
-  for (const Tier t : {Tier::kScalar, Tier::kSse2, Tier::kAvx2, Tier::kNeon}) {
+  for (const Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kNeon}) {
     if (name == tier_name(t)) {
       out = t;
       return true;

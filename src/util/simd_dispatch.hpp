@@ -1,12 +1,13 @@
 // Runtime-dispatched explicit-SIMD kernels for the pixel hot paths.
 //
-// util/simd.hpp holds the portable reference kernels: `#pragma omp simd`
-// loops whose vectorization is at the compiler's mercy. This layer adds
-// hand-written SSE2 / AVX2 / NEON implementations of the same kernels plus
-// the fused span sampler the SoA rasterizer refactor enables, selected once
-// at startup from CPU feature detection (CPUID on x86-64, baseline NEON on
-// aarch64) — the binary needs no -march flags and still runs the widest ISA
-// the host offers.
+// util/simd.hpp holds the portable reference kernels: plain loops whose
+// vectorization is at the compiler's mercy, and which form the scalar tier.
+// This layer adds hand-written AVX2 / NEON implementations of the same
+// kernels plus the fused span sampler the SoA rasterizer refactor enables,
+// selected once at startup from CPU feature detection (CPUID on x86-64,
+// baseline NEON on aarch64) — the binary needs no -march flags and still
+// runs the widest ISA the host offers. An x86-64 host without AVX2 runs the
+// scalar tier, whose compiled code is SSE2 already.
 //
 // Determinism contract: every tier is pinned to the scalar expressions
 // BIT-FOR-BIT. The contribution-lattice snap (util/simd.hpp) is the magic-
@@ -38,10 +39,9 @@ namespace dcsn::util::simd {
 
 /// Implementation tiers, ordered by preference within an architecture.
 enum class Tier : int {
-  kScalar = 0,  ///< util/simd.hpp portable kernels (omp-simd, any compiler)
-  kSse2 = 1,    ///< 128-bit, baseline on x86-64
-  kAvx2 = 2,    ///< 256-bit + gathers, detected via CPUID
-  kNeon = 3,    ///< 128-bit, baseline on aarch64
+  kScalar = 0,  ///< util/simd.hpp portable kernels (any compiler)
+  kAvx2 = 1,    ///< 256-bit + gathers, detected via CPUID
+  kNeon = 2,    ///< 128-bit, baseline on aarch64
 };
 
 /// Everything the fused span sampler needs: the padded bilinear table and
@@ -86,7 +86,7 @@ struct KernelTable {
 };
 
 /// The ambient dispatched table: best available tier, or the DCSN_SIMD
-/// override (scalar|sse2|avx2|neon; unknown or unavailable values warn on
+/// override (scalar|avx2|neon; unknown or unavailable values warn on
 /// stderr and fall back to the detected best). First call decides.
 [[nodiscard]] const KernelTable& kernels();
 
@@ -107,7 +107,7 @@ void set_active_tier(Tier tier);
 /// A specific tier's kernels (util::Error when unavailable).
 [[nodiscard]] const KernelTable& kernels_for(Tier tier);
 
-/// "scalar" / "sse2" / "avx2" / "neon".
+/// "scalar" / "avx2" / "neon".
 [[nodiscard]] const char* tier_name(Tier tier);
 
 /// Parses a DCSN_SIMD-style name; returns false on unknown names.

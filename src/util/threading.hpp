@@ -42,6 +42,9 @@ class WorkCounter {
 
   void reset() noexcept { next_.store(0, std::memory_order_relaxed); }
 
+  /// Hands out nothing more: every later claim comes back empty.
+  void cancel() noexcept { next_.store(total_, std::memory_order_relaxed); }
+
   [[nodiscard]] std::int64_t total() const noexcept { return total_; }
 
   /// Every item has been handed out (a racy snapshot, monotone once true).

@@ -240,9 +240,9 @@ TEST(ParticleSystem, FadeWeightZeroFractionIsConstant) {
 }
 
 TEST(ParticleSystem, DeterministicAcrossThreadCounts) {
-  // advance() uses per-particle hash streams, so OMP_NUM_THREADS must not
-  // change the result. We emulate by running the same scenario twice (OpenMP
-  // scheduling differs run to run when threads > 1).
+  // advance() uses per-particle hash streams, so the number of runtime-pool
+  // participants must not change the result. We emulate by running the same
+  // scenario twice (which participant claims which chunk differs run to run).
   const Rect domain{0, 0, 10, 10};
   const auto f = field::analytic::rigid_vortex({5, 5}, 1.0, domain);
   particles::ParticleSystemConfig config = small_config();

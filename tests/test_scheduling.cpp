@@ -1,16 +1,22 @@
 // Tests for the load-balanced scheduler: StealableWorkCounter semantics,
 // cross-group work-stealing equivalence against the serial baseline,
-// cost-balanced (kd-cut) tiling, worker-exception propagation, and the
-// raster/tiling bound fixes that rode along with the scheduler PR.
+// cost-balanced (kd-cut) tiling, worker-exception propagation, the
+// Runtime::parallel data-parallel primitive, and the raster/tiling bound
+// fixes that rode along with the scheduler PR.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/dnc_synthesizer.hpp"
+#include "core/runtime.hpp"
 #include "core/serial_synthesizer.hpp"
 #include "core/spot_source.hpp"
 #include "core/tiling.hpp"
@@ -302,6 +308,114 @@ TEST(Scheduling, WorkerExceptionRethrownOnCallerAndEngineStaysUsable) {
               1e-4 * sigma + 1e-6)
         << (tiled ? "tiled" : "contiguous");
   }
+}
+
+// ------------------------------------------------ Runtime::parallel primitive ---
+
+TEST(RuntimeParallel, VisitsEveryIndexExactlyOnce) {
+  constexpr std::int64_t kGrain = 64;
+  core::Runtime runtime;
+  for (const std::int64_t n : {std::int64_t{0}, std::int64_t{1}, kGrain - 1, kGrain,
+                               std::int64_t{100000}}) {
+    std::vector<std::atomic<int>> visits(static_cast<std::size_t>(n));
+    runtime.parallel_for(n, kGrain, [&](std::int64_t begin, std::int64_t end) {
+      for (std::int64_t i = begin; i < end; ++i) {
+        visits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    for (std::int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(visits[static_cast<std::size_t>(i)].load(), 1) << "n=" << n << " i=" << i;
+    }
+  }
+  EXPECT_EQ(runtime.active_job_count(), 0);
+}
+
+TEST(RuntimeParallel, ChunkBoundariesDoNotDependOnTheParticipantCap) {
+  // The partition is a function of (n, grain) alone: chunk k is
+  // [k*grain, min((k+1)*grain, n)) whoever claims it.
+  constexpr std::int64_t kN = 10007;
+  constexpr std::int64_t kGrain = 37;
+  constexpr std::int64_t kChunks = (kN + kGrain - 1) / kGrain;
+  core::Runtime runtime;
+  auto chunk_ends = [&](int cap) {
+    std::vector<std::atomic<std::int64_t>> ends(kChunks);
+    std::atomic<int> misaligned{0};
+    runtime.parallel_for(
+        kN, kGrain,
+        [&](std::int64_t begin, std::int64_t end) {
+          if (begin % kGrain != 0) misaligned.fetch_add(1);
+          ends[static_cast<std::size_t>(begin / kGrain)].store(end);
+        },
+        cap);
+    EXPECT_EQ(misaligned.load(), 0) << "cap " << cap;
+    std::vector<std::int64_t> out;
+    for (const auto& e : ends) out.push_back(e.load());
+    return out;
+  };
+  const std::vector<std::int64_t> one = chunk_ends(1);
+  const std::vector<std::int64_t> four = chunk_ends(4);
+  ASSERT_EQ(one.size(), static_cast<std::size_t>(kChunks));
+  for (std::int64_t k = 0; k < kChunks; ++k) {
+    EXPECT_EQ(one[static_cast<std::size_t>(k)], std::min((k + 1) * kGrain, kN));
+  }
+  EXPECT_EQ(one, four);
+}
+
+TEST(RuntimeParallel, ThrowRethrowsOnCallerAfterEveryParticipantLeft) {
+  core::Runtime runtime;
+  std::atomic<int> inside{0};
+  std::atomic<int> participants{0};
+  struct Seat {
+    std::atomic<int>& inside;
+    ~Seat() { inside.fetch_sub(1); }
+  };
+  bool caught = false;
+  try {
+    runtime.parallel(256, 1, 4, [&](util::WorkCounter& work) {
+      inside.fetch_add(1);
+      participants.fetch_add(1);
+      const Seat seat{inside};
+      for (auto r = work.claim(); !r.empty(); r = work.claim()) {
+        if (r.begin == 16) throw std::runtime_error("injected body failure");
+        // Slow chunks keep the other participants mid-claim when the
+        // failure lands.
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      }
+    });
+  } catch (const std::runtime_error& e) {
+    caught = true;
+    EXPECT_STREQ(e.what(), "injected body failure");
+    EXPECT_EQ(inside.load(), 0) << "rethrown while a participant was still inside";
+  }
+  EXPECT_TRUE(caught);
+  EXPECT_GE(participants.load(), 1);
+  EXPECT_EQ(runtime.active_job_count(), 0) << "a failed loop leaked its job";
+  // The runtime stays usable.
+  std::atomic<std::int64_t> sum{0};
+  runtime.parallel_for(std::int64_t{1000}, 10, [&](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t i = begin; i < end; ++i) sum.fetch_add(i);
+  });
+  EXPECT_EQ(sum.load(), 999 * 1000 / 2);
+}
+
+TEST(RuntimeParallel, NestedCallFromAPoolTaskCompletesOnAOneWorkerRuntime) {
+  // The only worker runs the task; the loop inside it has nobody to wait
+  // for because its caller participates. A cap of two needs one pool
+  // worker, which the runtime already has, so the pool does not grow.
+  core::Runtime runtime(core::RuntimeConfig{.workers = 1});
+  auto result = runtime.async([&runtime] {
+    std::atomic<std::int64_t> sum{0};
+    runtime.parallel_for(
+        std::int64_t{5000}, 50,
+        [&](std::int64_t begin, std::int64_t end) {
+          for (std::int64_t i = begin; i < end; ++i) sum.fetch_add(i);
+        },
+        2);
+    return sum.load();
+  });
+  EXPECT_EQ(result.get(), std::int64_t{4999} * 5000 / 2);
+  EXPECT_EQ(runtime.worker_count(), 1);
+  EXPECT_EQ(runtime.active_job_count(), 0);
 }
 
 // ------------------------------------------------------- rasterizer clamping ---

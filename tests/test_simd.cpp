@@ -1,6 +1,6 @@
 // Cross-tier byte-equality suite for the runtime-dispatched SIMD kernels.
 //
-// The contract (util/simd_dispatch.hpp): every tier — SSE2, AVX2, NEON —
+// The contract (util/simd_dispatch.hpp): every tier — AVX2, NEON —
 // reproduces the scalar kernels BIT-FOR-BIT: signed zeros, infinities,
 // denormals, and NaN *placement* included. The one sanctioned exception is
 // the NaN *payload* when both operands of a float add are NaN: IEEE leaves
@@ -332,15 +332,14 @@ TEST(SimdKernels, WholeEngineHashIdenticalAcrossTiers) {
 }
 
 TEST(SimdDispatch, TierNamesRoundTripAndRejectUnknown) {
-  for (const simd::Tier t :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2,
-        simd::Tier::kNeon}) {
+  for (const simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kNeon}) {
     simd::Tier parsed{};
     ASSERT_TRUE(simd::tier_from_name(simd::tier_name(t), parsed));
     EXPECT_EQ(t, parsed);
   }
   simd::Tier parsed{};
   EXPECT_FALSE(simd::tier_from_name("avx512", parsed));
+  EXPECT_FALSE(simd::tier_from_name("sse2", parsed));  // retired tier
   EXPECT_FALSE(simd::tier_from_name("", parsed));
   EXPECT_FALSE(simd::tier_from_name("Scalar", parsed));
 }

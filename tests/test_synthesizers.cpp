@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "core/dnc_synthesizer.hpp"
+#include "core/runtime.hpp"
 #include "core/serial_synthesizer.hpp"
 #include "core/spot_source.hpp"
 #include "field/analytic.hpp"
@@ -75,9 +76,10 @@ TEST(SerialSynthesizer, DeterministicForFixedSeed) {
 }
 
 TEST(SerialSynthesizer, MultithreadedMatchesSerial) {
-  // The §4 "bypass the graphics subsystem" path: OpenMP over spots with
-  // framebuffer reduction. Float summation order differs, so compare with a
-  // tolerance proportional to the texture scale.
+  // The §4 "bypass the graphics subsystem" path: runtime-pool participants
+  // over spot chunks with a framebuffer reduction. Contributions sit on the
+  // 2^-17 lattice, so the sums are exact in any order and the textures must
+  // match bit for bit.
   const auto config = small_config();
   const Rect domain{0, 0, 2, 2};
   const auto f = field::analytic::taylor_green(1.0, domain);
@@ -85,8 +87,36 @@ TEST(SerialSynthesizer, MultithreadedMatchesSerial) {
   core::SerialSynthesizer serial(config), parallel(config);
   serial.synthesize(*f, spots, 1);
   parallel.synthesize(*f, spots, 4);
-  const double sigma = render::texture_stddev(serial.texture());
-  EXPECT_LT(max_abs_difference(serial.texture(), parallel.texture()), 1e-4 * sigma + 1e-6);
+  EXPECT_TRUE(serial.texture() == parallel.texture());  // bit-exact
+}
+
+TEST(SerialSynthesizer, ThrowingFieldReturnsEveryPartial) {
+  // Every participant holds a pooled partial framebuffer; a field that
+  // throws mid-frame must still hand each one back, at any thread count,
+  // and the exception must reach the caller.
+  const auto config = small_config();
+  const Rect domain{0, 0, 2, 2};
+  const field::CallableField poisoned(
+      [](field::Vec2 p) -> field::Vec2 {
+        if (p.x > 1.0) throw util::Error("poisoned sample");
+        return {0.1, 0.2};
+      },
+      domain, 1.0);
+  const auto good = field::analytic::taylor_green(1.0, domain);
+  const auto spots = test_spots(config, domain);
+  core::Runtime runtime({.workers = 3});
+  core::SerialSynthesizer synth(config, runtime);
+  const std::int64_t before = runtime.framebuffers().outstanding_count();
+  for (const int threads : {1, 4}) {
+    EXPECT_THROW((void)synth.synthesize(poisoned, spots, threads), util::Error)
+        << threads << " threads";
+    EXPECT_EQ(runtime.framebuffers().outstanding_count(), before)
+        << threads << " threads";
+  }
+  // The runtime stays usable: the next frame renders and balances too.
+  (void)synth.synthesize(*good, spots, 4);
+  EXPECT_GT(render::texture_stddev(synth.texture()), 0.0);
+  EXPECT_EQ(runtime.framebuffers().outstanding_count(), before);
 }
 
 TEST(SerialSynthesizer, StatsSeparateGenPAndGenT) {
