@@ -1,12 +1,12 @@
 // Ablation for the load-balanced scheduler: static even-split partition vs.
-// cross-group work stealing (+ cost-balanced tiles in tiled mode).
+// cross-group work stealing, in contiguous mode.
 //
 // The paper's eq. 3.2 assumes every process group carries the same work.
-// A clustered spot set breaks that assumption twice over: in contiguous
-// mode the even *index* split hands one group the expensive spots, and in
-// tiled mode the cluster crowds into one region. This bench measures both
-// failure modes on the balance stress workload (see bench_common), then the
-// uniform control set where stealing must not cost anything.
+// A clustered spot set breaks that assumption: the even *index* split hands
+// one group the expensive spots. This bench measures that failure mode on
+// the balance stress workload (see bench_common), then the uniform control
+// set where stealing must not cost anything. (Tiled mode has no groups to
+// balance: its participants share one chunk counter over the spots.)
 //
 // The headline number is the *modeled* rate — the eq. 3.2 critical path over
 // per-thread CPU time (assign + max(genP, genT) critical path + gather). The
@@ -59,51 +59,41 @@ int main(int argc, char** argv) {
                 "scheduler", "modeled/s", "wall/s", "speedup", "imbalance",
                 "stolen", "steal ms");
     for (const int pipes : {2, 4}) {
-      for (const bool tiled : {false, true}) {
-        Row row;
-        for (const bool balanced : {false, true}) {
-          core::DncConfig dnc;
-          dnc.processors = processors;
-          dnc.pipes = pipes;
-          dnc.tiled = tiled;
-          dnc.steal = balanced;
-          dnc.tile_strategy = balanced ? core::TileStrategy::kCostBalanced
-                                       : core::TileStrategy::kGrid;
-          const bench::RateSample sample =
-              bench::measure_rates(workload, dnc, frames);
-          (balanced ? row.balanced_rate : row.static_rate) = sample.modeled_rate;
-          char speedup_text[16] = "-";
-          if (balanced) {
-            std::snprintf(speedup_text, sizeof speedup_text, "%.2fx", row.speedup());
-          }
-          std::printf("%6d %11s %10s %11.2f %9.2f %11s %10.2f %8lld %9.2f\n",
-                      pipes, tiled ? "tiled" : "contiguous",
-                      balanced ? "steal+kd" : "static", sample.modeled_rate,
-                      sample.wall_rate, speedup_text, sample.stats.imbalance,
-                      static_cast<long long>(sample.stats.stolen_chunks),
-                      sample.stats.steal_seconds * 1e3);
-          csv.row({clustered ? "clustered" : "uniform", std::to_string(pipes),
-                   tiled ? "tiled" : "contiguous",
-                   balanced ? "steal+kd" : "static",
-                   util::CsvWriter::num(sample.modeled_rate),
-                   util::CsvWriter::num(sample.wall_rate),
-                   util::CsvWriter::num(sample.stats.imbalance),
-                   std::to_string(sample.stats.stolen_chunks),
-                   util::CsvWriter::num(sample.stats.steal_seconds * 1e3),
-                   util::CsvWriter::num(sample.stats.genP_critical_seconds),
-                   util::CsvWriter::num(sample.stats.genT_critical_seconds)});
-          if (balanced) {
-            // The model's per-spot cost estimate is what feeds the kd-cut
-            // weights; print it so the calibration is visible.
-            const core::PerfModel model =
-                core::PerfModel::calibrate(sample.stats, pipes);
-            std::printf("%42s per-spot cost estimate %.2f us\n", "",
-                        model.per_spot_seconds() * 1e6);
-          }
+      Row row;
+      for (const bool balanced : {false, true}) {
+        core::DncConfig dnc;
+        dnc.processors = processors;
+        dnc.pipes = pipes;
+        dnc.steal = balanced;
+        const bench::RateSample sample = bench::measure_rates(workload, dnc, frames);
+        (balanced ? row.balanced_rate : row.static_rate) = sample.modeled_rate;
+        char speedup_text[16] = "-";
+        if (balanced) {
+          std::snprintf(speedup_text, sizeof speedup_text, "%.2fx", row.speedup());
         }
-        auto& worst = clustered ? worst_clustered_speedup : worst_uniform_speedup;
-        worst = std::min(worst, row.speedup());
+        std::printf("%6d %11s %10s %11.2f %9.2f %11s %10.2f %8lld %9.2f\n", pipes,
+                    "contiguous", balanced ? "steal" : "static", sample.modeled_rate,
+                    sample.wall_rate, speedup_text, sample.stats.imbalance,
+                    static_cast<long long>(sample.stats.stolen_chunks),
+                    sample.stats.steal_seconds * 1e3);
+        csv.row({clustered ? "clustered" : "uniform", std::to_string(pipes),
+                 "contiguous", balanced ? "steal" : "static",
+                 util::CsvWriter::num(sample.modeled_rate),
+                 util::CsvWriter::num(sample.wall_rate),
+                 util::CsvWriter::num(sample.stats.imbalance),
+                 std::to_string(sample.stats.stolen_chunks),
+                 util::CsvWriter::num(sample.stats.steal_seconds * 1e3),
+                 util::CsvWriter::num(sample.stats.genP_critical_seconds),
+                 util::CsvWriter::num(sample.stats.genT_critical_seconds)});
+        if (balanced) {
+          // The calibrated per-spot cost, so the workload's weight is visible.
+          const core::PerfModel model = core::PerfModel::calibrate(sample.stats, pipes);
+          std::printf("%42s per-spot cost estimate %.2f us\n", "",
+                      model.per_spot_seconds() * 1e6);
+        }
       }
+      auto& worst = clustered ? worst_clustered_speedup : worst_uniform_speedup;
+      worst = std::min(worst, row.speedup());
     }
   }
 
@@ -113,8 +103,8 @@ int main(int argc, char** argv) {
       worst_clustered_speedup, worst_uniform_speedup);
   std::printf(
       "the static partition starves whole groups on clustered spots; stealing "
-      "rebalances generation at chunk granularity and the kd-cut rebalances "
-      "the pipes' raster work.\n");
+      "rebalances generation at chunk granularity and routes loot to the "
+      "lighter pipe.\n");
   // The targets are this bench's contract (modeled rates, so they hold on
   // any host); exit nonzero on a miss so CI can gate on the scheduler.
   const bool ok = worst_clustered_speedup >= 1.3 && worst_uniform_speedup >= 0.95;

@@ -42,9 +42,8 @@ Workload make_dns_workload(int spinup_steps = 120);
 /// compact core, exactly stagnant outside) with bent spots. With `clustered`
 /// set, the first half of the spot array sits inside the swirl core — those
 /// spots trace full-length streamlines and rasterize full ribbons, while the
-/// stagnant background spots degrade to cheap point quads. That skews both
-/// the contiguous even-index split (cost varies along the index axis) and
-/// the tiled grid split (the expensive spots crowd one region), which is
+/// stagnant background spots degrade to cheap point quads. That skews the
+/// contiguous even-index split (cost varies along the index axis), which is
 /// exactly the imbalance bench_ablation_balance measures. With `clustered`
 /// false the same field and config get uniformly scattered spots — the
 /// "stealing must not regress" control.

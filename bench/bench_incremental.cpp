@@ -5,9 +5,9 @@
 // quasi-static. Here a mild everywhere-flowing shear gives every bent spot a
 // full-cost ribbon (so the savings cannot hide in degenerate cheap spots),
 // and per frame only the spots inside a compact probe disc move — under 10%
-// of the population, confined to one tile of the 2x2 grid. The other three
-// tiles' spot sets are bit-identical frame to frame, so the cache retains
-// them.
+// of the population, confined to one quadrant of the texture. The tiles of
+// the 64-px render grid away from the disc keep bit-identical spot sets
+// frame to frame, so the cache retains them.
 //
 // The bench runs the same frame sequence through two identical tiled
 // engines, one full-resynthesis and one driven by core::SynthesisCache, and
@@ -19,7 +19,7 @@
 //      based — meaningful on a loaded 1-core CI host), charging the
 //      cache's own planning time to the incremental side;
 //   3. reports reuse accounting (tiles_reused, spots_skipped) and the
-//      PerfModel::predict_incremental estimate next to the measurement;
+//      PerfModel estimate for the rendered spots next to the measurement;
 //   4. gates: modeled speedup >= 2.0x (>= 1.4x with --smoke, whose small
 //      frames leave the fixed per-frame costs unamortized), else exits
 //      nonzero.
@@ -70,27 +70,24 @@ TemporalWorkload make_workload(bool smoke) {
   w.synthesis.bent.mesh_rows = 3;
   w.synthesis.bent.length_px = smoke ? 14.0 : 22.0;
   // genP-heavy calibration (see bench_common.hpp): the incremental win on
-  // the eq. 3.2 critical path comes from skipping spot-shape calculation,
-  // which work stealing spreads over every processor; the dirty tile's
-  // rasterization is irreducible, so the ratio must sit in the paper's
-  // CPU-bound regime for the reuse to show.
+  // the eq. 3.2 critical path comes from skipping spot-shape calculation
+  // and rasterization outside the dirty tiles, so spots must be expensive
+  // enough for the saved share to dominate the fixed per-frame costs.
   w.synthesis.bent.trace_substeps = 14;
 
   w.dnc.processors = 4;
-  w.dnc.pipes = 4;
   w.dnc.tiled = true;
-  w.dnc.tile_strategy = core::TileStrategy::kGrid;
   w.dnc.chunk_spots = 32;
 
   util::Rng rng(20260730);
   w.spots = core::make_random_spots(domain, w.synthesis.spot_count, rng);
   for (auto& s : w.spots) s.intensity *= 0.2;
 
-  // The probe disc sits deep inside the bottom-left tile: world quadrant
+  // The probe disc sits deep inside the bottom-left quadrant: world
   // [0,2)x[0,2), image-space bottom-left after the y flip. Radius 0.55 over
-  // a 16-area domain holds ~6% of a uniform population; margin to the tile
-  // boundary exceeds the bent spots' conservative extent so moving spots
-  // never leak dirt into a second tile.
+  // a 16-area domain holds ~6% of a uniform population; margin to the
+  // quadrant boundary exceeds the bent spots' conservative extent so moving
+  // spots never leak dirt into another quadrant.
   w.probe_center = {1.0, 1.0};
   const double probe_radius = 0.55;
   for (std::size_t k = 0; k < w.spots.size(); ++k) {
@@ -102,7 +99,7 @@ TemporalWorkload make_workload(bool smoke) {
 }
 
 // Rotates the probe spots one step around the probe center — a localized
-// stir that keeps them inside the disc (and therefore inside one tile).
+// stir that keeps them inside the disc (and therefore inside one quadrant).
 void stir_probe(TemporalWorkload& w) {
   constexpr double kStep = 0.12;  // radians per frame
   const double c = std::cos(kStep);
@@ -128,13 +125,12 @@ int main(int argc, char** argv) {
   TemporalWorkload w = make_workload(smoke);
   const double moving_share = static_cast<double>(w.probe.size()) /
                               static_cast<double>(w.spots.size());
-  std::printf("  %lld bent spots on %dx%d, 2x2 tiles, %.1f%% moving per frame\n",
-              static_cast<long long>(w.synthesis.spot_count),
-              w.synthesis.texture_width, w.synthesis.texture_height,
-              100.0 * moving_share);
-
   core::DncSynthesizer full(w.synthesis, w.dnc);
   core::DncSynthesizer incremental(w.synthesis, w.dnc);
+  std::printf("  %lld bent spots on %dx%d, %zu tiles, %.1f%% moving per frame\n",
+              static_cast<long long>(w.synthesis.spot_count),
+              w.synthesis.texture_width, w.synthesis.texture_height,
+              incremental.tiles().size(), 100.0 * moving_share);
   core::SynthesisCache cache;
 
   // Prologue frame on both engines (uncounted): the incremental side's
@@ -176,14 +172,15 @@ int main(int argc, char** argv) {
   const double speedup = incr_modeled > 0.0 ? full_modeled / incr_modeled : 0.0;
 
   // The model's view of the same frames, from constants calibrated on the
-  // measured full frame.
-  const core::PerfModel model =
-      core::PerfModel::calibrate(full_stats, w.dnc.pipes);
+  // measured full frame. Every tiled participant rasterizes, and a reused
+  // tile costs nothing, so the incremental frame is modeled as a frame of
+  // the spots it rendered.
+  const int rasterizers = full.rasterizers();
+  const core::PerfModel model = core::PerfModel::calibrate(full_stats, rasterizers);
   const double predicted_full =
-      model.predict(full_stats.spots_submitted, w.dnc.processors, w.dnc.pipes);
-  const double predicted_incr = model.predict_incremental(
-      spots_rendered / frames, w.dnc.processors, w.dnc.pipes,
-      static_cast<int>(tiles_reused / frames));
+      model.predict(full_stats.spots_submitted, w.dnc.processors, rasterizers);
+  const double predicted_incr =
+      model.predict(spots_rendered / frames, w.dnc.processors, rasterizers);
 
   std::printf("  modeled frame (eq. 3.2): full %.4fs, incremental %.4fs -> %.2fx"
               " (gate: >= %.1fx)\n",

@@ -82,7 +82,6 @@ core::SynthesisConfig session_config(int session) {
 core::DncConfig torture_dnc() {
   core::DncConfig dnc;
   dnc.processors = 2;
-  dnc.pipes = 2;
   dnc.chunk_spots = 16;
   dnc.tiled = true;
   dnc.tile_cache = true;

@@ -205,7 +205,7 @@ if [[ "$RUN_TSAN" -eq 1 ]]; then
   # particles, LIC, filters) are the code where a data race would hide; run
   # exactly those suites instrumented. gtest discovery re-runs each binary,
   # so build only what we need.
-  TSAN_SUITES=(test_scheduling test_synthesizers test_service test_pipe test_tile_store test_util test_faults test_net test_simd test_sim test_particles test_extensions test_filters_perf)
+  TSAN_SUITES=(test_scheduling test_synthesizers test_service test_pipe test_tile_store test_util test_faults test_net test_simd test_sim test_particles test_extensions test_filters_perf test_incremental)
   echo "== ThreadSanitizer pass (build-tsan) =="
   cmake --preset tsan
   cmake --build --preset tsan -j "$JOBS" --target "${TSAN_SUITES[@]}"

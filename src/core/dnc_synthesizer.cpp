@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -91,58 +90,47 @@ DncSynthesizer::DncSynthesizer(SynthesisConfig synthesis, DncConfig dnc,
       runtime_(&runtime),
       final_(synthesis.texture_width, synthesis.texture_height),
       faults_(runtime.faults()) {
-  DCSN_CHECK(dnc_.pipes >= 1, "need at least one graphics pipe");
-  DCSN_CHECK(dnc_.processors >= dnc_.pipes,
-             "each pipe needs at least one processor (its master)");
+  DCSN_CHECK(dnc_.processors >= 1, "need at least one processor");
   DCSN_CHECK(dnc_.chunk_spots >= 1, "chunk size must be positive");
 
-  bus_ = std::make_shared<render::Bus>(dnc_.bus_bytes_per_second);
   tile_key_config_hash_ = hash_pixel_config(synthesis_, dnc_.raster_algorithm);
+  profile_ = render::SpotProfile::make_shared(synthesis_.profile_shape,
+                                              synthesis_.profile_resolution);
 
-  // Tiled mode: each pipe renders one region; otherwise each pipe renders
-  // the full texture and the partials are blended. The cost-balanced
-  // strategy re-derives the regions from each frame's spots; the grid is
-  // its spot-independent starting point.
   if (dnc_.tiled) {
-    tiles_ = make_tile_grid(synthesis_.texture_width, synthesis_.texture_height,
-                            dnc_.pipes);
-  }
-
-  groups_.reserve(static_cast<std::size_t>(dnc_.pipes));
-  for (int g = 0; g < dnc_.pipes; ++g) groups_.push_back(std::make_unique<Group>());
-  auto profile = render::SpotProfile::make_shared(synthesis_.profile_shape,
-                                                  synthesis_.profile_resolution);
-  for (int g = 0; g < dnc_.pipes; ++g) {
-    Group& group = *groups_[static_cast<std::size_t>(g)];
-    render::PipeConfig pc;
-    if (dnc_.tiled) {
-      const Tile& tile = tiles_[static_cast<std::size_t>(g)];
-      pc.width = tile.width;
-      pc.height = tile.height;
-    } else {
+    // One fixed grid, a function of the texture size alone. Tiled frames
+    // rasterize on the runtime pool, so the engine needs no pipe.
+    tiles_ = make_render_grid(synthesis_.texture_width, synthesis_.texture_height);
+  } else {
+    // Each pipe renders the full texture and the partials are blended.
+    DCSN_CHECK(dnc_.pipes >= 1, "need at least one graphics pipe");
+    DCSN_CHECK(dnc_.processors >= dnc_.pipes,
+               "each pipe needs at least one processor (its master)");
+    bus_ = std::make_shared<render::Bus>(dnc_.bus_bytes_per_second);
+    groups_.reserve(static_cast<std::size_t>(dnc_.pipes));
+    for (int g = 0; g < dnc_.pipes; ++g) {
+      auto group = std::make_unique<Group>();
+      render::PipeConfig pc;
       pc.width = synthesis_.texture_width;
       pc.height = synthesis_.texture_height;
+      pc.state_change_seconds = dnc_.state_change_seconds;
+      pc.raster_cost_multiplier = dnc_.raster_cost_multiplier;
+      pc.queue_capacity = dnc_.pipe_queue_capacity;
+      pc.raster_algorithm = dnc_.raster_algorithm;
+      // Borrowed, not owned: an idle pipe with a matching behavioral config
+      // is reshaped (resize_target) instead of constructing a fresh server
+      // thread; the lease hands it back when this session ends.
+      group->pipe = runtime_->acquire_pipe(pc, bus_, g);
+      group->work = std::make_unique<util::StealableWorkCounter>(0, dnc_.chunk_spots);
+      // Initial pipe state: the spot profile texture and additive blending.
+      // Set once; per-spot state changes are exactly what the design avoids.
+      group->pipe->bind_profile(profile_);
+      group->pipe->set_blend_mode(render::BlendMode::kAdditive);
+      // Drain setup commands now so their state-change cost never bleeds
+      // into the first frame's measurements.
+      group->pipe->finish();
+      groups_.push_back(std::move(group));
     }
-    pc.state_change_seconds = dnc_.state_change_seconds;
-    pc.raster_cost_multiplier = dnc_.raster_cost_multiplier;
-    pc.queue_capacity = dnc_.pipe_queue_capacity;
-    pc.raster_algorithm = dnc_.raster_algorithm;
-    // Borrowed, not owned: an idle pipe with a matching behavioral config
-    // is reshaped (resize_target) instead of constructing a fresh server
-    // thread; the lease hands it back when this session ends.
-    group.pipe = runtime_->acquire_pipe(pc, bus_, g);
-    group.work = std::make_unique<util::StealableWorkCounter>(0, dnc_.chunk_spots);
-    // Initial pipe state: the spot profile texture and additive blending.
-    // Set once; per-spot state changes are exactly what the design avoids.
-    group.pipe->bind_profile(profile);
-    group.pipe->set_blend_mode(render::BlendMode::kAdditive);
-    if (dnc_.tiled) {
-      const Tile& tile = tiles_[static_cast<std::size_t>(g)];
-      group.pipe->set_viewport_origin(tile.x0, tile.y0);
-    }
-    // Drain setup commands now so their state-change cost never bleeds into
-    // the first frame's measurements.
-    group.pipe->finish();
   }
 
   // The shared pool must be able to field this session's processor budget
@@ -160,15 +148,21 @@ DncSynthesizer::~DncSynthesizer() {
 }
 
 render::PipeStats DncSynthesizer::pipe_stats(int pipe) const {
-  DCSN_CHECK(pipe >= 0 && pipe < dnc_.pipes, "pipe index out of range");
+  DCSN_CHECK(pipe >= 0 && pipe < static_cast<int>(groups_.size()),
+             "pipe index out of range (a tiled engine has no pipes)");
   return groups_[static_cast<std::size_t>(pipe)]->pipe->stats();
 }
 
-std::int64_t DncSynthesizer::global_index(const Group& group,
-                                          std::int64_t local) const {
-  return group.tile_indices
-             ? (*group.tile_indices)[static_cast<std::size_t>(local)]
-             : group.begin + local;
+void DncSynthesizer::spot_faults(std::int64_t spot,
+                                 FaultInjector::Batch* batch) const {
+  // Both outcome sites key on the spot's *global* index, not the chunk:
+  // every spot is generated exactly once per attempt however the work was
+  // split, so the union of draws — and with it the attempt's verdict — is a
+  // pure function of workload and seed.
+  fault_point(FaultSite::kFieldSample,
+              0x6669656c64ULL ^ static_cast<std::uint64_t>(spot));
+  fault_predraw(FaultSite::kPipeSubmit,
+                0x7069706573ULL ^ static_cast<std::uint64_t>(spot), batch);
 }
 
 void DncSynthesizer::submit_to_pipe(Group& group, render::CommandBuffer&& buffer,
@@ -189,51 +183,6 @@ void DncSynthesizer::submit_to_pipe(Group& group, render::CommandBuffer&& buffer
   }
 }
 
-std::vector<double> DncSynthesizer::estimate_spot_costs(
-    std::span<const SpotInstance> spots) const {
-  // Relative weights only: the kd-cut is scale-invariant, so the absolute
-  // per-spot seconds (PerfModel::per_spot_seconds) never move a cut — what
-  // matters is how cost *varies* across spots. For bent spots that variation
-  // is trace length: in stagnant flow the streamline tracer stops at the
-  // seed and the ribbon degrades to a cheap point quad. Local speed over the
-  // field max is the one-sample predictor of that, with a floor for the
-  // degraded quad's fixed cost. Point/ellipse spots cost the same
-  // everywhere, so they keep uniform weights (empty result).
-  if (synthesis_.kind != SpotKind::kBent) return {};
-  const double max_mag = job_field_->max_magnitude();
-  if (!(max_mag > 0.0)) return {};
-  constexpr double kDegradedQuadCost = 0.15;  // point quad vs full ribbon
-  std::vector<double> costs(spots.size());
-  for (std::size_t k = 0; k < spots.size(); ++k) {
-    const field::Vec2 v = job_field_->sample(spots[k].position);
-    const double speed = std::sqrt(v.x * v.x + v.y * v.y);
-    costs[k] = kDegradedQuadCost + std::min(speed / max_mag, 1.0);
-  }
-  return costs;
-}
-
-void DncSynthesizer::prepare_tiles(std::span<const SpotInstance> spots) {
-  if (dnc_.tile_strategy != TileStrategy::kCostBalanced || spots.empty()) return;
-  const std::vector<double> costs = estimate_spot_costs(spots);
-  std::vector<Tile> tiles =
-      make_balanced_tiles(synthesis_.texture_width, synthesis_.texture_height,
-                          dnc_.pipes, spots, job_generator_->mapping(), costs);
-  // Reshape only the pipes whose region actually moved; for a static spot
-  // set this settles after the first frame.
-  for (int g = 0; g < dnc_.pipes; ++g) {
-    Group& group = *groups_[static_cast<std::size_t>(g)];
-    const Tile& old_tile = tiles_[static_cast<std::size_t>(g)];
-    const Tile& new_tile = tiles[static_cast<std::size_t>(g)];
-    if (new_tile.width != old_tile.width || new_tile.height != old_tile.height) {
-      group.pipe->resize_target(new_tile.width, new_tile.height);
-    }
-    if (new_tile.x0 != old_tile.x0 || new_tile.y0 != old_tile.y0) {
-      group.pipe->set_viewport_origin(new_tile.x0, new_tile.y0);
-    }
-  }
-  tiles_ = std::move(tiles);
-}
-
 FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
                                       std::span<const SpotInstance> spots,
                                       const FramePlan* plan) {
@@ -250,116 +199,274 @@ FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
   job_field_ = &f;
   job_spots_ = spots;
   job_generator_ = std::make_unique<SpotGeometryGenerator>(synthesis_, f);
+  if (dnc_.tiled) {
+    render_tiled(plan, stats);
+  } else {
+    render_contiguous(stats);
+  }
 
-  // --- preprocessing: partition the spot collection ---
+  // Authoritative deadline verdict. Every injected delay of this frame has
+  // been charged by now and this thread is the only one still running, so
+  // this check is a pure function of the workload and the fault seed: a
+  // frame whose total virtual penalty blew the budget times out on every
+  // replay, whether or not any mid-frame check happened to notice first
+  // (mid-frame observations depend on thread interleaving; the total does
+  // not). A throw here leaves final_ fully composed — the texture a
+  // degraded serve hands out is still a complete frame.
+  check_canceled();
+
+  // Lattice-budget canary (see FrameStats::peak_pixel_magnitude): one pass
+  // over the final texture, outside the modeled critical path.
+  const auto [px_lo, px_hi] = final_.min_max();
+  stats.peak_pixel_magnitude =
+      std::max(std::abs(static_cast<double>(px_lo)),
+               std::abs(static_cast<double>(px_hi)));
+  stats.frame_seconds = frame_watch.seconds();
+  job_generator_.reset();
+  return stats;
+}
+
+void DncSynthesizer::render_tiled(const FramePlan* plan, FrameStats& stats) {
+  const std::span<const SpotInstance> spots = job_spots_;
+  const std::size_t tile_count = tiles_.size();
+
+  // --- preprocessing: assign spots to tiles, choose the tiles to render ---
   // Probe/fingerprint costs are charged to assign_seconds on purpose: they
   // are real per-frame preprocessing, and modeled_frame_seconds must not
   // get them for free.
   const util::Stopwatch assign_watch;
-  std::vector<std::int64_t> assigned(static_cast<std::size_t>(dnc_.pipes), 0);
   // Content-addressed sharing (DncConfig::tile_cache): each tile's key is
   // derived from the inputs its pixels are a pure function of. A
   // NaN-poisoned field is uncacheable content — render this frame without
   // the store rather than share tiles keyed on unstable identity.
   TileStore* store = nullptr;
   std::uint64_t field_fp = 0;
-  if (dnc_.tiled && dnc_.tile_cache) {
-    const field::FieldFingerprint fp = field::fingerprint_field(f);
+  if (dnc_.tile_cache) {
+    const field::FieldFingerprint fp = field::fingerprint_field(*job_field_);
     if (fp.finite) {
       store = &runtime_->tile_store();
       field_fp = fp.hash;
     }
   }
-  std::vector<TileKey> tile_keys;
-  std::vector<TileStore::Checkout> checkouts;  // pins released on any exit
-  if (dnc_.tiled) {
-    // A planned frame keeps the tile grid frozen: the dirty flags were
-    // derived against it, and reshaping would invalidate the retained
-    // regions. kCostBalanced therefore re-balances only on full frames.
-    if (plan == nullptr) prepare_tiles(spots);
-    job_assignment_ = assign_spots_to_tiles(spots, job_generator_->mapping(),
-                                            job_generator_->max_extent_px(), tiles_);
-    tile_keys.resize(static_cast<std::size_t>(dnc_.pipes));
-    checkouts.resize(static_cast<std::size_t>(dnc_.pipes));
-    for (int g = 0; g < dnc_.pipes; ++g) {
-      Group& group = *groups_[static_cast<std::size_t>(g)];
-      group.tile_indices = &job_assignment_.per_tile[static_cast<std::size_t>(g)];
-      const auto n = static_cast<std::int64_t>(group.tile_indices->size());
-      const bool dirty =
-          plan == nullptr || plan->tile_dirty[static_cast<std::size_t>(g)] != 0;
-      group.cache_hit = false;
-      if (store != nullptr) {
-        const Tile& tile = tiles_[static_cast<std::size_t>(g)];
-        tile_keys[static_cast<std::size_t>(g)] =
-            TileKey{hash_spot_subset(spots, *group.tile_indices), field_fp,
-                    tile_key_config_hash_, tile.x0, tile.y0, tile.width,
-                    tile.height};
-        if (dirty) {
-          auto& checkout = checkouts[static_cast<std::size_t>(g)];
-          // Fault site kStoreProbe is contained: a throw-hit is a failed
-          // lookup, and a failed lookup is a miss — render the tile.
-          if (fault_point_contained(FaultSite::kStoreProbe,
-                                    0x70726f6265ULL ^
-                                        static_cast<std::uint64_t>(g))) {
-            checkout = store->probe(tile_keys[static_cast<std::size_t>(g)]);
-          }
-          group.cache_hit = static_cast<bool>(checkout);
-          if (group.cache_hit) {
-            stats.cache_tile_hits += 1;
-            stats.cache_spots_skipped += n;
-          } else {
-            stats.cache_tile_misses += 1;
-          }
+  const TileAssignment assignment = assign_spots_to_tiles(
+      spots, job_generator_->mapping(), job_generator_->max_extent_px(), tiles_);
+  stats.duplicated_spots = assignment.duplicates;
+  std::vector<TileKey> keys(store != nullptr ? tile_count : 0);
+  std::vector<TileStore::Checkout> checkouts(tile_count);  // pins released on any exit
+  std::vector<std::uint8_t> rendered(tile_count, 0);
+  std::vector<std::uint8_t> wanted(spots.size(), 0);  // touches a rendered tile
+  for (std::size_t t = 0; t < tile_count; ++t) {
+    const std::vector<std::int64_t>& list = assignment.per_tile[t];
+    const auto n = static_cast<std::int64_t>(list.size());
+    const bool dirty = plan == nullptr || plan->tile_dirty[t] != 0;
+    if (store != nullptr) {
+      const Tile& tile = tiles_[t];
+      keys[t] = TileKey{hash_spot_subset(spots, list), field_fp, tile_key_config_hash_,
+                        tile.x0, tile.y0, tile.width, tile.height};
+      if (dirty) {
+        // Fault site kStoreProbe is contained: a throw-hit is a failed
+        // lookup, and a failed lookup is a miss — render the tile.
+        if (fault_point_contained(FaultSite::kStoreProbe,
+                                  0x70726f6265ULL ^ static_cast<std::uint64_t>(t))) {
+          checkouts[t] = store->probe(keys[t]);
         }
-      }
-      group.active = dirty && !group.cache_hit;
-      if (group.active) {
-        group.total_items = n;
-        group.work->reset(n);
-        assigned[static_cast<std::size_t>(g)] = n;
-        stats.spots_submitted += n;
-      } else {
-        // Clean tile (identical spot set as last frame) or cache hit
-        // (identical content already rendered, possibly by another
-        // session): nothing to generate or rasterize. The group's
-        // participants still act as thieves for dirty groups.
-        group.total_items = 0;
-        group.work->reset(0);
-        if (!group.cache_hit) {
-          stats.tiles_reused += 1;
-          stats.spots_skipped += n;
+        if (checkouts[t]) {
+          // Identical content already rendered, possibly by another session.
+          stats.cache_tile_hits += 1;
+          stats.cache_spots_skipped += n;
+          continue;
         }
+        stats.cache_tile_misses += 1;
       }
     }
-    stats.duplicated_spots = job_assignment_.duplicates;
-  } else {
-    const auto n = static_cast<std::int64_t>(spots.size());
-    std::int64_t begin = 0;
-    for (int g = 0; g < dnc_.pipes; ++g) {
-      Group& group = *groups_[static_cast<std::size_t>(g)];
-      const std::int64_t share = n / dnc_.pipes + (g < n % dnc_.pipes ? 1 : 0);
-      group.tile_indices = nullptr;
-      group.begin = begin;
-      group.end = begin + share;
-      begin += share;
-      group.total_items = share;
-      group.work->reset(share);
-      group.active = true;
-      group.cache_hit = false;
-      assigned[static_cast<std::size_t>(g)] = share;
+    if (!dirty) {
+      // Clean tile: the same spot set as last frame, so its region of
+      // final_ already holds the pixels a re-render would produce.
+      stats.tiles_reused += 1;
+      stats.spots_skipped += n;
+      continue;
     }
-    stats.spots_submitted = n;
+    rendered[t] = 1;
+    for (const std::int64_t k : list) wanted[static_cast<std::size_t>(k)] = 1;
   }
+  // The spots to generate, each once however many rendered tiles it
+  // touches, in ascending index order.
+  std::vector<std::int64_t> order;
+  for (std::size_t k = 0; k < wanted.size(); ++k) {
+    if (wanted[k] != 0) order.push_back(static_cast<std::int64_t>(k));
+  }
+  stats.spots_submitted = static_cast<std::int64_t>(order.size());
   stats.assign_seconds = assign_watch.seconds();
 
-  const std::int64_t assigned_total =
-      std::accumulate(assigned.begin(), assigned.end(), std::int64_t{0});
-  const std::int64_t assigned_max =
-      *std::max_element(assigned.begin(), assigned.end());
-  stats.imbalance = assigned_total > 0
-                        ? static_cast<double>(assigned_max) * dnc_.pipes /
-                              static_cast<double>(assigned_total)
-                        : 1.0;
+  // --- parallel phase: generate and rasterize on the runtime pool ---
+  // Each participant rasterizes its chunks into one pooled full-texture
+  // partial; the rasterizer is target-independent and accumulation
+  // lattice-exact, so a rendered tile is the sum of the partials over its
+  // rect, whichever participant drew which spot. The fold hands every
+  // partial back to the pool on every exit, failed frames included.
+  // Leaving participants add their counters to `stats` under its mutex.
+  render::FramebufferPool& buffers = runtime_->framebuffers();
+  struct Fold {
+    explicit Fold(render::FramebufferPool& p) : pool(p) {}
+    Fold(const Fold&) = delete;
+    Fold& operator=(const Fold&) = delete;
+    ~Fold() {
+      util::MutexLock lock(partials_mutex);
+      for (render::Framebuffer& partial : partials) pool.release(std::move(partial));
+    }
+    render::FramebufferPool& pool;
+    util::Mutex partials_mutex;
+    std::vector<render::Framebuffer> partials DCSN_GUARDED_BY(partials_mutex);
+  } fold(buffers);
+  double critical_seconds = 0.0;  ///< max over participants of genP + genT
+  const std::thread::id caller = std::this_thread::get_id();
+  runtime_->parallel(
+      static_cast<std::int64_t>(order.size()), dnc_.chunk_spots, dnc_.processors,
+      [&](util::WorkCounter& work) {
+        auto range = work.claim();
+        if (range.empty()) return;  // joined after the last chunk was handed out
+        render::Framebuffer partial = buffers.acquire(final_.width(), final_.height());
+        const render::RasterTarget target{partial.pixels(), 0, 0, dnc_.raster_algorithm};
+        render::CommandBuffer buffer;
+        buffer.reserve(static_cast<std::size_t>(dnc_.chunk_spots),
+                       static_cast<std::size_t>(synthesis_.vertices_per_spot()));
+        const bool pool_worker = std::this_thread::get_id() != caller;
+        FrameStats mine;
+        try {
+          for (; !range.empty(); range = work.claim()) {
+            check_canceled();
+            buffer.clear();
+            FaultInjector::Batch submit_faults;
+            util::ThreadCpuStopwatch watch;
+            for (std::int64_t i = range.begin; i < range.end; ++i) {
+              const std::int64_t k = order[static_cast<std::size_t>(i)];
+              spot_faults(k, &submit_faults);
+              job_generator_->generate(spots[static_cast<std::size_t>(k)], buffer);
+            }
+            mine.genP_seconds += watch.seconds();
+            if (pool_worker && runtime_->active_job_count() > 1) {
+              // Generated by a pool worker while another session's job was
+              // registered: capacity multiplexed across sessions.
+              mine.cross_session_chunks += 1;
+              mine.cross_session_spots += range.size();
+            }
+            // The chunk's kPipeSubmit decisions strike where its geometry
+            // is consumed, right before rasterization.
+            if (faults_ != nullptr) {
+              faults_->apply(FaultSite::kPipeSubmit, submit_faults,
+                             control_ != nullptr ? &control_->delay_penalty_ns : nullptr);
+            }
+            watch.restart();
+            render::rasterize_buffer(target, buffer, *profile_,
+                                     render::BlendMode::kAdditive, mine.raster);
+            mine.genT_seconds += watch.seconds();
+            mine.vertices += static_cast<std::int64_t>(buffer.vertex_count());
+            mine.geometry_bytes += buffer.byte_size();
+            // Chunk heartbeat for the no-progress watchdog.
+            if (control_ != nullptr) {
+              control_->progress.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        } catch (...) {
+          buffers.release(std::move(partial));
+          throw;
+        }
+        util::MutexLock lock(fold.partials_mutex);
+        fold.partials.push_back(std::move(partial));
+        stats.genP_seconds += mine.genP_seconds;
+        stats.genT_seconds += mine.genT_seconds;
+        stats.genP_critical_seconds = std::max(stats.genP_critical_seconds, mine.genP_seconds);
+        stats.genT_critical_seconds = std::max(stats.genT_critical_seconds, mine.genT_seconds);
+        critical_seconds = std::max(critical_seconds, mine.genP_seconds + mine.genT_seconds);
+        stats.vertices += mine.vertices;
+        stats.geometry_bytes += mine.geometry_bytes;
+        stats.raster += mine.raster;
+        stats.cross_session_chunks += mine.cross_session_chunks;
+        stats.cross_session_spots += mine.cross_session_spots;
+      });
+
+  // --- sequential compose: the overhead term c of eq. 3.2 ---
+  const util::Stopwatch gather_watch;
+  // Fault site kFramebufferCheckout, mandatory path: every rendered tile's
+  // decision is taken before the first write, so a throw-hit fails the
+  // frame with final_ still holding the previous completed frame — stale
+  // but intact, which is what a degraded serve hands out.
+  for (std::size_t t = 0; t < tile_count; ++t) {
+    if (rendered[t] != 0) {
+      fault_point(FaultSite::kFramebufferCheckout,
+                  0x6662636fULL ^ static_cast<std::uint64_t>(t));
+    }
+  }
+  {
+    util::MutexLock lock(fold.partials_mutex);  // uncontended: every participant left
+    for (std::size_t t = 0; t < tile_count; ++t) {
+      if (rendered[t] == 0) continue;
+      const Tile& tile = tiles_[t];
+      final_.sum_rect_from(fold.partials, tile.x0, tile.y0, tile.width, tile.height);
+      stats.readback_bytes += static_cast<std::uint64_t>(tile.width) *
+                              static_cast<std::uint64_t>(tile.height) * sizeof(float);
+    }
+  }
+  // Store hits compose the pinned pixels; rendered misses and retained
+  // clean tiles publish theirs. Publishes happen here and only here —
+  // after every participant succeeded — and each insert is atomic under
+  // its shard lock, so a failed or canceled frame contributes nothing to
+  // the store: other sessions can never observe a partial tile.
+  if (store != nullptr) {
+    for (std::size_t t = 0; t < tile_count; ++t) {
+      const Tile& tile = tiles_[t];
+      if (checkouts[t]) {
+        final_.copy_rect_from(checkouts[t].pixels(), tile.x0, tile.y0);
+        stats.cache_hit_bytes += checkouts[t].pixels().byte_size();
+        checkouts[t].reset();  // unpin as soon as the pixels are composed
+        continue;
+      }
+      // A publish is best-effort: an injected fault at the publish — or,
+      // for a clean tile (whose pixels no checkout covered yet), at the
+      // checkout for its staging copy — skips it; the frame's own pixels
+      // are already complete. A long-lived incremental session thereby
+      // still seeds the store with its retained tiles.
+      const auto subkey = static_cast<std::uint64_t>(t);
+      if (rendered[t] == 0 && store->contains(keys[t])) continue;
+      if (!fault_point_contained(FaultSite::kStorePublish, 0x7075626cULL ^ subkey)) {
+        continue;
+      }
+      if (rendered[t] == 0 &&
+          !fault_point_contained(FaultSite::kFramebufferCheckout,
+                                 0x6662636fULL ^ subkey)) {
+        continue;
+      }
+      render::Framebuffer copy = buffers.acquire(tile.width, tile.height);
+      final_.extract_rect_into(copy, tile.x0, tile.y0);
+      const TileStore::PublishOutcome outcome = store->publish(keys[t], std::move(copy));
+      if (outcome.inserted) stats.cache_tiles_published += 1;
+      stats.cache_evictions += outcome.evicted;
+    }
+  }
+  stats.gather_seconds = gather_watch.seconds();
+  stats.modeled_frame_seconds =
+      stats.assign_seconds + critical_seconds + stats.gather_seconds;
+}
+
+void DncSynthesizer::render_contiguous(FrameStats& stats) {
+  // --- preprocessing: partition the spot collection ---
+  const util::Stopwatch assign_watch;
+  const auto n = static_cast<std::int64_t>(job_spots_.size());
+  std::int64_t begin = 0;
+  std::int64_t assigned_max = 0;
+  for (int g = 0; g < dnc_.pipes; ++g) {
+    Group& group = *groups_[static_cast<std::size_t>(g)];
+    const std::int64_t share = n / dnc_.pipes + (g < n % dnc_.pipes ? 1 : 0);
+    group.begin = begin;
+    begin += share;
+    group.work->reset(share);
+    assigned_max = std::max(assigned_max, share);
+  }
+  stats.spots_submitted = n;
+  stats.assign_seconds = assign_watch.seconds();
+  stats.imbalance = n > 0 ? static_cast<double>(assigned_max) * dnc_.pipes /
+                                static_cast<double>(n)
+                          : 1.0;
 
   for (auto& group : groups_) {
     group->pipe->reset_stats();
@@ -385,7 +492,7 @@ FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
     // whole frame, so masters never coexist and stealing never happens. The
     // deadline keeps the old barrier's failure mode out: a pool absorbed by
     // other sessions costs at most the gate window, never a stall.
-    gate_expected_ = assigned_total >= dnc_.chunk_spots
+    gate_expected_ = n >= dnc_.chunk_spots
                          ? std::min(dnc_.processors, 1 + runtime_->worker_count())
                          : 1;
     gate_open_ = gate_expected_ <= 1;
@@ -422,115 +529,23 @@ FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
   }
 
   // --- sequential gather: the overhead term c of eq. 3.2 ---
-  // Readback textures come from the runtime's framebuffer pool: zeroed on
-  // checkout, fully overwritten by read_back_into, returned right after —
-  // allocation-free in steady state.
+  // The readback texture comes from the runtime's framebuffer pool: zeroed
+  // on checkout, fully overwritten by read_back_into, returned right after —
+  // allocation-free in steady state. The checkout fault precedes the clear
+  // on purpose: a throw-hit must leave final_ holding the previous completed
+  // frame (stale but intact), which is what a degraded serve hands out.
   const util::Stopwatch gather_watch;
   render::FramebufferPool& buffers = runtime_->framebuffers();
-  if (dnc_.tiled) {
-    // The retention compose, streamed: only active pipes cross the bus and
-    // are copied into place, one at a time (no staging of all partials);
-    // clean tiles of an incremental frame keep their retained region of
-    // final_ untouched, and cache-hit tiles compose the store's pinned
-    // pixels directly (no readback, no staging copy).
-    // render::compose_tiles_masked implements the same merge for callers
-    // that already hold materialized tiles.
-    //
-    // Publishes happen here and only here — after the frame-failure check
-    // above — and each insert is atomic under its shard lock, so a failed
-    // or canceled frame contributes nothing to the store: other sessions
-    // can never observe a partial tile.
-    for (int g = 0; g < dnc_.pipes; ++g) {
-      Group& group = *groups_[static_cast<std::size_t>(g)];
-      const Tile& tile = tiles_[static_cast<std::size_t>(g)];
-      const TileKey* key =
-          store != nullptr ? &tile_keys[static_cast<std::size_t>(g)] : nullptr;
-      auto account_publish = [&](TileStore::PublishOutcome outcome) {
-        if (outcome.inserted) stats.cache_tiles_published += 1;
-        stats.cache_evictions += outcome.evicted;
-      };
-      if (group.cache_hit) {
-        auto& checkout = checkouts[static_cast<std::size_t>(g)];
-        final_.copy_rect_from(checkout.pixels(), tile.x0, tile.y0);
-        stats.cache_hit_bytes += checkout.pixels().byte_size();
-        checkout.reset();  // unpin as soon as the pixels are composed
-        continue;
-      }
-      if (!group.active) {
-        // Retained clean tile. Its pixels already sit in final_; publish
-        // them on a miss so a long-lived incremental session still seeds
-        // the store for other sessions ("a clean miss publishes after
-        // commit"). The publish is best-effort: an injected fault at
-        // either the publish or the checkout for its staging copy skips
-        // it — the frame's own pixels are already complete.
-        if (key != nullptr && !store->contains(*key) &&
-            fault_point_contained(FaultSite::kStorePublish,
-                                  0x7075626cULL ^
-                                      static_cast<std::uint64_t>(g)) &&
-            fault_point_contained(FaultSite::kFramebufferCheckout,
-                                  0x6662636fULL ^
-                                      static_cast<std::uint64_t>(g))) {
-          render::Framebuffer copy = buffers.acquire(tile.width, tile.height);
-          final_.extract_rect_into(copy, tile.x0, tile.y0);
-          account_publish(store->publish(*key, std::move(copy)));
-        }
-        continue;
-      }
-      // Fault site kFramebufferCheckout, mandatory path: the readback needs
-      // this buffer, so a throw-hit fails the frame (the gather runs
-      // single-threaded on the caller — the exception propagates directly,
-      // no buffer is held, and the store saw nothing partial).
-      fault_point(FaultSite::kFramebufferCheckout,
-                  0x6662636fULL ^ static_cast<std::uint64_t>(g));
-      render::Framebuffer part = buffers.acquire(tile.width, tile.height);
-      group.pipe->read_back_into(part);
-      final_.copy_rect_from(part, tile.x0, tile.y0);
-      stats.readback_bytes += part.byte_size();
-      if (key != nullptr &&
-          fault_point_contained(FaultSite::kStorePublish,
-                                0x7075626cULL ^ static_cast<std::uint64_t>(g))) {
-        // Zero-copy publish: the store takes the readback buffer itself
-        // (and recycles it into the same pool on duplicate/reject). A
-        // faulted publish is contained — the buffer goes straight back to
-        // the pool instead, so no census leak either way.
-        account_publish(store->publish(*key, std::move(part)));
-      } else {
-        buffers.release(std::move(part));
-      }
-    }
-  } else {
-    // The checkout fault precedes the clear on purpose: a throw-hit must
-    // leave final_ holding the previous completed frame (stale but intact),
-    // which is what a degraded serve hands out.
-    fault_point(FaultSite::kFramebufferCheckout, 0x6662636fULL);
-    final_.clear();
-    render::Framebuffer part =
-        buffers.acquire(final_.width(), final_.height());
-    for (auto& group : groups_) {
-      group->pipe->read_back_into(part);
-      final_.accumulate(part);
-      stats.readback_bytes += part.byte_size();
-    }
-    buffers.release(std::move(part));
+  fault_point(FaultSite::kFramebufferCheckout, 0x6662636fULL);
+  final_.clear();
+  render::Framebuffer part = buffers.acquire(final_.width(), final_.height());
+  for (auto& group : groups_) {
+    group->pipe->read_back_into(part);
+    final_.accumulate(part);
+    stats.readback_bytes += part.byte_size();
   }
+  buffers.release(std::move(part));
   stats.gather_seconds = gather_watch.seconds();
-
-  // Authoritative deadline verdict. Every injected delay of this frame has
-  // been charged by now and this thread is the only one still running, so
-  // this check is a pure function of the workload and the fault seed: a
-  // frame whose total virtual penalty blew the budget times out on every
-  // replay, whether or not any mid-frame check happened to notice first
-  // (mid-frame observations depend on thread interleaving; the total does
-  // not). A throw here leaves final_ fully composed — the texture a
-  // degraded serve hands out is still a complete frame.
-  check_canceled();
-
-  // Lattice-budget canary (see FrameStats::peak_pixel_magnitude): one pass
-  // over the final texture, outside the modeled critical path.
-  const auto [px_lo, px_hi] = final_.min_max();
-  stats.peak_pixel_magnitude =
-      std::max(std::abs(static_cast<double>(px_lo)),
-               std::abs(static_cast<double>(px_hi)));
 
   // --- bookkeeping ---
   // slots_ is quiescent: the caller observed itself as the last active
@@ -560,9 +575,6 @@ FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
       stats.assign_seconds +
       std::max(stats.genP_critical_seconds, stats.genT_critical_seconds) +
       stats.gather_seconds;
-  stats.frame_seconds = frame_watch.seconds();
-  job_generator_.reset();
-  return stats;
 }
 
 bool DncSynthesizer::serve_frame(bool is_caller) {
@@ -676,10 +688,7 @@ bool DncSynthesizer::participant_loop(Slot& slot, int ordinal, bool is_caller) {
 void DncSynthesizer::run_master(Group& group, Slot& slot, bool is_caller) {
   group.master_running.store(true, std::memory_order_release);
   runtime_->notify_workers();  // this group's counter just became claimable
-  // A clean-tile group renders nothing this frame; clearing would destroy
-  // nothing (the retained pixels live in final_, not in the pipe target)
-  // but would cost raster time and skew genT accounting.
-  if (group.active) group.pipe->clear();
+  group.pipe->clear();
 
   auto submit = [&](Message& msg) {
     // A throw-hit inside submit_to_pipe leaves the in-flight registration
@@ -749,20 +758,11 @@ DncSynthesizer::Group* DncSynthesizer::pick_victim(const Group* self,
   std::int64_t best_remaining = 0;
   for (auto& candidate : groups_) {
     if (candidate.get() == self) continue;
-    if (!candidate->master_running.load(std::memory_order_acquire)) {
-      // Producers deliver with a blocking push, so they need a live
-      // consumer. Masters may raid a group whose master has not started:
-      // in contiguous mode the loot renders on the thief's own pipe, and
-      // in tiled mode it is buffered in the victim's inbox — but only
-      // while there is headroom for every potential master-held message,
-      // so the non-blocking delivery below can never wedge on an inbox
-      // nobody drains yet.
-      if (!for_master) continue;
-      if (dnc_.tiled &&
-          candidate->inbox.size() + static_cast<std::size_t>(dnc_.pipes) >=
-              candidate->inbox.capacity()) {
-        continue;
-      }
+    // Producers deliver with a blocking push, so they need a live
+    // consumer. Masters may raid a group whose master has not started: the
+    // loot renders on the thief's own pipe.
+    if (!for_master && !candidate->master_running.load(std::memory_order_acquire)) {
+      continue;
     }
     const std::int64_t r = candidate->work->remaining();
     if (r > best_remaining) {
@@ -790,33 +790,28 @@ bool DncSynthesizer::master_steal_once(Group& me, Slot& slot, bool is_caller) {
   Message msg;
   msg.buffer = generate_chunk(*victim, range, slot, is_caller,
                               &msg.submit_faults);
-  msg.items = range.size();
   slot.steal_seconds += watch.seconds();
   slot.stolen_chunks += 1;
   slot.stolen_spots += range.size();
-  if (!dnc_.tiled &&
-      (!victim->master_running.load(std::memory_order_acquire) ||
-       me.pipe->stats().bytes_received <=
-           victim->pipe->stats().bytes_received)) {
-    // Contiguous: every pipe renders the full texture and the gather
-    // blends by addition, so the loot may go through the thief's own pipe
-    // — but only when that pipe is the less loaded of the two (submitted
-    // geometry bytes count queued work): unconditional re-routing would
-    // *create* raster imbalance on the tail of an already balanced frame.
-    // A not-yet-running victim always renders on the thief (nobody drains
+  if (!victim->master_running.load(std::memory_order_acquire) ||
+      me.pipe->stats().bytes_received <= victim->pipe->stats().bytes_received) {
+    // Every pipe renders the full texture and the gather blends by
+    // addition, so the loot may go through the thief's own pipe — but only
+    // when that pipe is the less loaded of the two (submitted geometry
+    // bytes count queued work): unconditional re-routing would *create*
+    // raster imbalance on the tail of an already balanced frame. A
+    // not-yet-running victim always renders on the thief (nobody drains
     // its inbox yet).
     submit_to_pipe(me, std::move(msg.buffer), msg.submit_faults);
     victim->inflight.fetch_sub(1, std::memory_order_seq_cst);
     return true;
   }
-  // Tiled (always), or a contiguous victim whose pipe is the lighter one:
-  // the buffer is routed back through the owner's inbox. A master must
-  // never block on a foreign inbox — two masters blocked on each other's
-  // full inbox would deadlock — so alternate try_push with draining its
-  // own. Termination: a running victim drains its inbox until its
-  // in-flight count (which includes this message) is zero, and a
-  // not-yet-started tiled victim had `pipes` slots of headroom at
-  // selection, at most one undelivered message per master-thief.
+  // A running victim whose pipe is the lighter one: the buffer is routed
+  // back through the owner's inbox. A master must never block on a foreign
+  // inbox — two masters blocked on each other's full inbox would deadlock
+  // — so alternate try_push with draining its own. Termination: a running
+  // victim drains its inbox until its in-flight count (which includes this
+  // message) is zero.
   while (!victim->inbox.try_push_or_keep(msg)) {
     if (frame_failed_.load(std::memory_order_relaxed)) return true;
     if (auto own = me.inbox.try_pop()) {
@@ -843,7 +838,6 @@ bool DncSynthesizer::producer_once(Slot& slot, int ordinal, bool is_caller) {
       Message msg;
       msg.buffer = generate_chunk(own, range, slot, is_caller,
                                   &msg.submit_faults);
-      msg.items = range.size();
       (void)own.inbox.push(std::move(msg));  // false = closed = frame failed
       return true;
     }
@@ -852,9 +846,8 @@ bool DncSynthesizer::producer_once(Slot& slot, int ordinal, bool is_caller) {
   if (!dnc_.steal) return false;
   Group* victim = pick_victim(&own, /*for_master=*/false);
   if (victim == nullptr) return false;
-  // Delivery target. Tiled mode has no choice: only the owning group's
-  // pipe renders the stolen region. Contiguous mode routes the loot to the
-  // thief's *affinity* pipe when that pipe carries less submitted geometry
+  // Delivery target: the loot goes to the thief's *affinity* pipe when
+  // that pipe carries less submitted geometry
   // (addition commutes across pipes, so sending work to the lighter pipe
   // balances rasterization the way stealing balances generation — while
   // the load comparison keeps tail-end steals from unbalancing an already
@@ -862,7 +855,7 @@ bool DncSynthesizer::producer_once(Slot& slot, int ordinal, bool is_caller) {
   // against the destination master's exit (see run_master); when the
   // destination is unavailable the owner's inbox is always valid.
   Group* dest = victim;
-  if (!dnc_.tiled && &own != victim &&
+  if (&own != victim &&
       own.master_running.load(std::memory_order_acquire) &&
       own.pipe->stats().bytes_received <
           victim->pipe->stats().bytes_received) {
@@ -886,7 +879,6 @@ bool DncSynthesizer::producer_once(Slot& slot, int ordinal, bool is_caller) {
   Message msg;
   msg.buffer = generate_chunk(*victim, range, slot, is_caller,
                               &msg.submit_faults);
-  msg.items = range.size();
   slot.steal_seconds += watch.seconds();
   slot.stolen_chunks += 1;
   slot.stolen_spots += range.size();
@@ -918,20 +910,11 @@ render::CommandBuffer DncSynthesizer::generate_chunk(
   render::CommandBuffer buffer;
   buffer.reserve(static_cast<std::size_t>(range.size()),
                  static_cast<std::size_t>(synthesis_.vertices_per_spot()));
-  for (std::int64_t local = range.begin; local < range.end; ++local) {
-    const std::int64_t k = global_index(group, local);
-    // Both outcome sites key on the spot's *global* index, not the chunk:
-    // every spot is generated exactly once per attempt no matter how
-    // stealing partitioned the counter, so the union of draws — and with
-    // it the attempt's verdict — is a pure function of workload and seed.
+  for (std::int64_t k = group.begin + range.begin; k < group.begin + range.end; ++k) {
     // kFieldSample strikes here (a poisoned field callback, or virtual
     // delay charged against the deadline); the spot's kPipeSubmit decision
     // is pre-drawn into the buffer's batch and strikes at submit time.
-    fault_point(FaultSite::kFieldSample,
-                0x6669656c64ULL ^ static_cast<std::uint64_t>(k));
-    fault_predraw(FaultSite::kPipeSubmit,
-                  0x7069706573ULL ^ static_cast<std::uint64_t>(k),
-                  submit_faults);
+    spot_faults(k, submit_faults);
     job_generator_->generate(job_spots_[static_cast<std::size_t>(k)], buffer);
   }
   slot.genP_seconds += watch.seconds();

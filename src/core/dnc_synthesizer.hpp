@@ -12,15 +12,19 @@
 //     groups complete, partial textures are gathered across the bus and
 //     blended sequentially — the overhead term c of eq. 3.2.
 //
-// With DncConfig::tiled set, groups work on disjoint texture regions
-// instead (texture decomposition): spots are assigned to regions by
-// location in a preprocessing step, spots near boundaries are duplicated
-// into every region they may touch, and the final compose is a cheap copy.
+// With DncConfig::tiled set there are no pipes: the texture is one fixed
+// grid of kRenderTileEdge-px tiles (core::make_render_grid), and
+// Runtime::parallel runs over the spots touching a tile that needs a render
+// (all of them, or the dirty ones and the TileStore misses of a planned
+// frame). Every participant generates and rasterizes its chunks into one
+// pooled full-texture partial, each spot once; a rendered tile is the sum
+// of the partials over its rect. Clean tiles keep their retained pixels
+// and store hits are copied in.
 //
 // Ownership (changed by the shared-runtime refactor, see core/runtime.hpp):
 // a synthesizer no longer owns worker threads, pipes or readback buffers —
 // it *borrows* them from a core::Runtime (the process-global one by
-// default). Each synthesize() call registers a frame job with the runtime;
+// default). Each contiguous frame registers a frame job with the runtime;
 // the calling thread always participates, and runtime pool workers join up
 // to the session's processor budget. Participants claim the group-master
 // roles first and produce spot geometry after. Because pool workers are
@@ -132,23 +136,22 @@ struct FrameControl {
   std::uint64_t fault_key = 0;
 };
 
-/// How tiled mode carves the texture into per-pipe regions.
-enum class TileStrategy {
-  kGrid,          ///< fixed near-square grid, independent of the spots
-  kCostBalanced,  ///< per-frame kd-cut balancing per-region spot work
-};
-
 struct DncConfig {
   /// Worker budget for one frame: at most this many participants (the
   /// calling thread plus runtime pool workers) serve the frame — the nP of
   /// eq. 3.2. The session's runtime grows its shared pool to at least this
   /// size.
   int processors = 4;
-  int pipes = 1;  ///< graphics pipes / process groups, the nG of eq. 3.2
+  /// Graphics pipes / process groups, the nG of eq. 3.2. Contiguous mode
+  /// only: a tiled engine acquires no pipe.
+  int pipes = 1;
   /// Spots per command buffer: the streaming granularity from processors to
-  /// pipes. Small enough to overlap generation with rendering, large enough
-  /// to amortize queue traffic.
+  /// pipes (contiguous) or the chunk a participant claims (tiled). Small
+  /// enough to overlap generation with rendering, large enough to amortize
+  /// queue traffic.
   std::int64_t chunk_spots = 32;
+  // The pipe model (bus, state changes, raster slowdown, queue depth)
+  // applies to contiguous mode only.
   /// Shared host<->graphics bus bandwidth; 0 disables the bus model. The
   /// paper's Onyx2 bus moves 800 MB/s.
   double bus_bytes_per_second = 0.0;
@@ -161,14 +164,14 @@ struct DncConfig {
   /// (equivalence tests, bench_raster_kernel ablation).
   render::RasterAlgorithm raster_algorithm = render::RasterAlgorithm::kSpan;
   std::size_t pipe_queue_capacity = 64;
-  /// Texture decomposition instead of full-texture gather-blend.
+  /// Texture decomposition on the fixed render grid instead of
+  /// full-texture gather-blend.
   bool tiled = false;
-  /// Region layout in tiled mode (ignored otherwise).
-  TileStrategy tile_strategy = TileStrategy::kGrid;
-  /// Cross-group work stealing: idle participants pull chunk ranges from
-  /// the most loaded group once their own group's counter drains. Off
-  /// reproduces the static partition (the bench_ablation_balance baseline);
-  /// off also pins each producer to its affinity group.
+  /// Contiguous mode: cross-group work stealing — idle participants pull
+  /// chunk ranges from the most loaded group once their own group's
+  /// counter drains. Off reproduces the static partition (the
+  /// bench_ablation_balance baseline); off also pins each producer to its
+  /// affinity group. Tiled participants always share one chunk counter.
   bool steal = true;
   /// Tiled mode only: memoize rendered tiles in the runtime's process-wide
   /// core::TileStore, keyed by content (spot subset, field fingerprint,
@@ -186,15 +189,19 @@ struct DncConfig {
 struct FrameStats {
   double frame_seconds = 0.0;    ///< wall clock for the whole frame
   double genP_seconds = 0.0;     ///< CPU spot-shape time, summed over workers
-  double genT_seconds = 0.0;     ///< pipe busy time, summed over pipes
-  double gather_seconds = 0.0;   ///< sequential readback + blend (term c)
+  double genT_seconds = 0.0;     ///< pipe busy time, summed over pipes (tiled: over participants)
+  double gather_seconds = 0.0;   ///< sequential readback/compose + blend (term c)
   double assign_seconds = 0.0;   ///< tiling preprocessing (tiled mode only)
   std::int64_t spots = 0;            ///< input spot count
-  std::int64_t spots_submitted = 0;  ///< includes tiling duplicates
+  /// Spots generated and rasterized (tiled: each once, however many
+  /// tiles it touches; spots touching no tile to render are skipped).
+  std::int64_t spots_submitted = 0;
+  /// Tiled: tile-list entries beyond one per spot (boundary spots).
   std::int64_t duplicated_spots = 0;
   std::int64_t vertices = 0;
-  std::uint64_t geometry_bytes = 0;  ///< vertex traffic to the pipes
-  std::uint64_t readback_bytes = 0;  ///< texture traffic back to the host
+  std::uint64_t geometry_bytes = 0;  ///< vertex traffic to the rasterizers
+  /// Texture traffic back to the host; tiled: bytes of rendered tiles.
+  std::uint64_t readback_bytes = 0;
   double pipe_stall_seconds = 0.0;   ///< pipes waiting on the bus
   double pipe_state_seconds = 0.0;   ///< pipes executing state changes
   render::RasterStats raster;
@@ -239,7 +246,8 @@ struct FrameStats {
   std::int64_t stolen_spots = 0;   ///< spots inside those ranges
   double steal_seconds = 0.0;      ///< CPU time generating stolen chunks (subset of genP)
   /// Static-partition imbalance: max over groups of assigned spots divided
-  /// by the per-group mean (1.0 = perfectly even). Measured before stealing.
+  /// by the per-group mean (1.0 = perfectly even). Measured before stealing;
+  /// always 1.0 in tiled mode, which has no static partition.
   double imbalance = 1.0;
 
   // Multi-session runtime accounting.
@@ -259,10 +267,13 @@ struct FrameStats {
   // host has fewer cores than workers + pipes — wall-clock frame_seconds on
   // such a host serializes everything and cannot show a balancing win.
   double genP_critical_seconds = 0.0;  ///< max over workers of generation CPU
-  double genT_critical_seconds = 0.0;  ///< max over pipes of busy CPU
+  /// Max over pipes of busy CPU; tiled: max over participants of raster CPU.
+  double genT_critical_seconds = 0.0;
   /// assign + max(genP critical, genT critical) + gather: the frame time a
   /// host with one core per worker and pipe would see (generation overlaps
   /// rendering, pipes run concurrently, pre/post processing is sequential).
+  /// Tiled: assign + max over participants of (genP + genT) + gather, since
+  /// each participant rasterizes what it generated.
   double modeled_frame_seconds = 0.0;
 
   /// Textures per second as the paper's tables report it.
@@ -294,12 +305,10 @@ class DncSynthesizer {
   /// per session at a time (SynthesisService serializes per session).
   ///
   /// `plan` (tiled mode only, normally produced by core::SynthesisCache)
-  /// enables temporal reuse: tiles whose flag is clear are not cleared,
-  /// generated, rasterized or read back — their region of the final
-  /// texture retains the previous frame's pixels, which is bit-identical
-  /// to re-rendering them because their spot set did not change. On a
-  /// planned frame the tile grid is kept frozen (no kCostBalanced reshape):
-  /// the plan was derived against the current grid.
+  /// enables temporal reuse: tiles whose flag is clear are not generated,
+  /// rasterized or composed — their region of the final texture retains
+  /// the previous frame's pixels, which is bit-identical to re-rendering
+  /// them because their spot set did not change.
   FrameStats synthesize(const field::VectorField& f,
                         std::span<const SpotInstance> spots,
                         const FramePlan* plan = nullptr);
@@ -307,8 +316,15 @@ class DncSynthesizer {
   [[nodiscard]] const render::Framebuffer& texture() const { return final_; }
   [[nodiscard]] const SynthesisConfig& config() const { return synthesis_; }
   [[nodiscard]] const DncConfig& dnc_config() const { return dnc_; }
+  /// The render grid (make_render_grid) in tiled mode; empty otherwise.
   [[nodiscard]] const std::vector<Tile>& tiles() const { return tiles_; }
+  /// Contiguous mode only: a tiled engine has no pipes.
   [[nodiscard]] render::PipeStats pipe_stats(int pipe) const;
+  /// Threads that rasterize a frame — every participant in tiled mode, the
+  /// pipes otherwise: the nG the performance model divides raster work by.
+  [[nodiscard]] int rasterizers() const {
+    return dnc_.tiled ? dnc_.processors : dnc_.pipes;
+  }
   [[nodiscard]] Runtime& runtime() const { return *runtime_; }
 
   /// Bumped at the start of every synthesize() call (failed frames
@@ -327,7 +343,6 @@ class DncSynthesizer {
  private:
   struct Message {
     render::CommandBuffer buffer;
-    std::int64_t items = 0;  ///< spots covered by `buffer`
     /// Pre-drawn kPipeSubmit decisions for every spot `buffer` carries,
     /// drawn at generation time (where the owning group's global-index
     /// mapping is in scope) and applied by whichever master submits the
@@ -341,18 +356,7 @@ class DncSynthesizer {
     PipeLease pipe;
     util::BoundedQueue<Message> inbox{256};
     std::unique_ptr<util::StealableWorkCounter> work;  ///< over the group's local indices
-    const std::vector<std::int64_t>* tile_indices = nullptr;  ///< tiled mode
-    std::int64_t begin = 0;  ///< contiguous mode: global range [begin, end)
-    std::int64_t end = 0;
-    std::int64_t total_items = 0;  ///< spots assigned to this group this frame
-    /// Cleared for a clean tile of an incremental frame: the group renders
-    /// nothing (participants still steal for dirty groups) and the gather
-    /// retains its texture region.
-    bool active = true;
-    /// This frame's tile was served from the shared TileStore: like a clean
-    /// tile the group renders nothing, but the gather composes the pinned
-    /// cache pixels instead of retaining final_'s region.
-    bool cache_hit = false;
+    std::int64_t begin = 0;  ///< first global spot index of the group's range
     /// The master role for this group has started; only then may producers
     /// claim from its counter (a blocked inbox push needs a live consumer).
     std::atomic<bool> master_running{false};
@@ -391,6 +395,14 @@ class DncSynthesizer {
   };
 
   struct FrameHandle;  // Runtime::SharedJob adapter (defined in the .cpp)
+
+  /// Contiguous mode: partitions the spots over the process groups, serves
+  /// the frame with masters and producers, and gather-blends the pipes'
+  /// partials into final_.
+  void render_contiguous(FrameStats& stats);
+  /// Tiled mode: renders the tiles that need it straight on the Runtime
+  /// pool and composes them into final_ (see the header comment).
+  void render_tiled(const FramePlan* plan, FrameStats& stats);
 
   /// One participant serving the current frame: joins (subject to the
   /// processor budget; the caller always fits), claims master roles and
@@ -486,11 +498,10 @@ class DncSynthesizer {
   /// heartbeat.
   void submit_to_pipe(Group& group, render::CommandBuffer&& buffer,
                       const FaultInjector::Batch& submit_faults) const;
-  /// Relative per-spot cost weights for the kd-cut; empty means uniform.
-  [[nodiscard]] std::vector<double> estimate_spot_costs(
-      std::span<const SpotInstance> spots) const;
-  void prepare_tiles(std::span<const SpotInstance> spots);
-  [[nodiscard]] std::int64_t global_index(const Group& group, std::int64_t local) const;
+  /// Per-spot outcome-site faults of one generated spot: kFieldSample
+  /// strikes now, the spot's kPipeSubmit decision is pre-drawn into `batch`
+  /// for the effect site (a pipe submit, or the tiled rasterization).
+  void spot_faults(std::int64_t spot, FaultInjector::Batch* batch) const;
 
   SynthesisConfig synthesis_;  // lock-lint: unguarded(immutable after construction)
   DncConfig dnc_;              // lock-lint: unguarded(immutable after construction)
@@ -501,9 +512,10 @@ class DncSynthesizer {
   std::uint64_t tile_key_config_hash_ = 0;  // lock-lint: unguarded(immutable after construction)
 
   std::shared_ptr<render::Bus> bus_;  // lock-lint: unguarded(immutable after construction)
-  /// One per group in tiled mode.
-  std::vector<Tile> tiles_;   // lock-lint: unguarded(caller thread, between frames)
-  // Group is immovable (owns a queue).
+  std::shared_ptr<const render::SpotProfile> profile_;  // lock-lint: unguarded(immutable after construction)
+  /// The render grid in tiled mode.
+  std::vector<Tile> tiles_;   // lock-lint: unguarded(immutable after construction)
+  // Group is immovable (owns a queue). Empty in tiled mode.
   std::vector<std::unique_ptr<Group>> groups_;  // lock-lint: unguarded(sized at construction)
   render::Framebuffer final_;       // lock-lint: unguarded(caller thread, between frames)
   std::int64_t frame_serial_ = 0;   // lock-lint: unguarded(caller thread, between frames)
@@ -517,7 +529,6 @@ class DncSynthesizer {
   const field::VectorField* job_field_ = nullptr;  // lock-lint: unguarded(frame-setup, see above)
   std::span<const SpotInstance> job_spots_;        // lock-lint: unguarded(frame-setup, see above)
   std::unique_ptr<SpotGeometryGenerator> job_generator_;  // lock-lint: unguarded(frame-setup, see above)
-  TileAssignment job_assignment_;                  // lock-lint: unguarded(frame-setup, see above)
 
   // Participation state for the frame in flight.
   std::shared_ptr<FrameHandle> frame_handle_;  // lock-lint: unguarded(caller thread, between frames)

@@ -13,25 +13,6 @@ inline bool same_spot(const SpotInstance& a, const SpotInstance& b) {
          a.intensity == b.intensity;
 }
 
-// Marks every tile the extent square around the mapped position overlaps —
-// the assign_spots_to_tiles predicate verbatim (half-open pixel rects, NaN
-// overlaps everything).
-void mark_extent(const SpotInstance& spot, const render::WorldToImage& mapping,
-                 double extent_px, std::span<const Tile> tiles,
-                 std::vector<std::uint8_t>& dirty) {
-  const auto [px, py] = mapping.map(spot.position);
-  const double lo_x = px - extent_px;
-  const double hi_x = px + extent_px;
-  const double lo_y = py - extent_px;
-  const double hi_y = py + extent_px;
-  for (std::size_t t = 0; t < tiles.size(); ++t) {
-    const Tile& tile = tiles[t];
-    if (hi_x < tile.x0 || lo_x >= tile.x0 + tile.width) continue;
-    if (hi_y < tile.y0 || lo_y >= tile.y0 + tile.height) continue;
-    dirty[t] = 1;
-  }
-}
-
 }  // namespace
 
 FrameDelta diff_spots(std::span<const SpotInstance> prev,
@@ -59,20 +40,23 @@ std::vector<std::uint8_t> dirty_tiles(const FrameDelta& delta,
                                       const render::WorldToImage& mapping,
                                       double extent_px,
                                       std::span<const Tile> tiles) {
+  const TileIndex index(tiles);
   std::vector<std::uint8_t> dirty(tiles.size(), 0);
+  // The assign_spots_to_tiles predicate verbatim (half-open pixel rects,
+  // NaN overlaps everything), so "clean" means "identical assignment list".
+  auto mark = [&](const SpotInstance& spot) {
+    const auto [px, py] = mapping.map(spot.position);
+    index.for_each_overlap(px, py, extent_px, [&](std::size_t t) { dirty[t] = 1; });
+  };
   // Moved spots invalidate where they were *and* where they are now.
   for (const std::int64_t k : delta.changed) {
     const auto i = static_cast<std::size_t>(k);
-    mark_extent(prev[i], mapping, extent_px, tiles, dirty);
-    mark_extent(cur[i], mapping, extent_px, tiles, dirty);
+    mark(prev[i]);
+    mark(cur[i]);
   }
   const std::size_t shared = std::min(prev.size(), cur.size());
-  for (std::size_t k = shared; k < cur.size(); ++k) {  // born
-    mark_extent(cur[k], mapping, extent_px, tiles, dirty);
-  }
-  for (std::size_t k = shared; k < prev.size(); ++k) {  // died
-    mark_extent(prev[k], mapping, extent_px, tiles, dirty);
-  }
+  for (std::size_t k = shared; k < cur.size(); ++k) mark(cur[k]);   // born
+  for (std::size_t k = shared; k < prev.size(); ++k) mark(prev[k]);  // died
   return dirty;
 }
 

@@ -61,7 +61,9 @@ struct FrameDelta {
 /// position, half-width `extent_px`) overlaps the tile, plus every tile a
 /// born spot enters or a dying spot leaves. Uses the same half-open overlap
 /// predicate as assign_spots_to_tiles, so "clean" provably means "identical
-/// assignment list".
+/// assignment list". Each spot's tile range is looked up on the row grid
+/// (core::TileIndex), so the cost is O(tiles touched) per changed spot.
+/// Throws util::Error when `tiles` is not a row grid.
 [[nodiscard]] std::vector<std::uint8_t> dirty_tiles(
     const FrameDelta& delta, std::span<const SpotInstance> prev,
     std::span<const SpotInstance> cur, const render::WorldToImage& mapping,

@@ -62,13 +62,8 @@ class PerfModel {
   /// processors to the group cannot help (paper §5.1: "approximately 4").
   [[nodiscard]] double processors_per_pipe_balance() const;
 
-  /// Combined per-spot cost estimate (CPU shape calculation + pipe raster).
-  /// This is the *absolute* calibration behind cost-guided tile assignment:
-  /// per-tile work is estimated as Σ weights * per_spot_seconds(). The
-  /// kd-cut itself is scale-invariant, so only the relative weights move
-  /// the cuts (DncSynthesizer::estimate_spot_costs derives those from the
-  /// local field); this constant converts them to seconds for advisors and
-  /// benches.
+  /// Combined per-spot cost estimate (CPU shape calculation + pipe raster):
+  /// converts spot counts to seconds for advisors and benches.
   [[nodiscard]] double per_spot_seconds() const {
     return params_.genP_per_spot + params_.genT_per_spot;
   }

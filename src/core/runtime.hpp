@@ -18,8 +18,8 @@
 //    │                     constructing a new server thread + target
 //    └─ FramebufferPool    recycled readback / partial / scratch textures
 //
-// Scheduling model. A frame job (one DncSynthesizer::synthesize call)
-// registers itself, and *participants* join it: always the calling thread,
+// Scheduling model. A frame job (one contiguous-mode
+// DncSynthesizer::synthesize call) registers itself, and *participants* join it: always the calling thread,
 // plus pool workers up to the session's processor budget. Participants claim
 // group-master roles first and produce spot geometry after, stealing across
 // groups — and, because pool workers serve whichever registered job has
@@ -31,10 +31,10 @@
 //
 // One-shot tasks (post/async) ride the same pool: the pipelined animator's
 // prepare step is a task, not a private thread. Data-parallel loops ride it
-// too (parallel / parallel_for): the serial synthesizer's partial
-// reduction, the DNS and smog solvers, the texture filters, LIC and the
-// particle advection each register a short-lived job that the calling
-// thread and pool workers drain together. The process has one pool; there
+// too (parallel / parallel_for): the tiled engine's frames, the serial
+// synthesizer's partial reduction, the DNS and smog solvers, the texture
+// filters, LIC and the particle advection each register a short-lived job
+// that the calling thread and pool workers drain together. The process has one pool; there
 // is no second runtime (such as OpenMP's) competing for the cores.
 //
 // A process-global Runtime (Runtime::global()) backs every constructor that

@@ -1,6 +1,5 @@
 #include "core/synthesis_cache.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/spot_geometry.hpp"
@@ -11,11 +10,7 @@ SynthesisCache::Decision SynthesisCache::plan(const DncSynthesizer& engine,
                                               const field::VectorField& f,
                                               std::span<const SpotInstance> spots) {
   Decision d;
-  if (!engine.dnc_config().tiled) return d;  // nothing to retain per tile
-  if (!valid_) {
-    planned_streak_ = 0;
-    return d;
-  }
+  if (!engine.dnc_config().tiled || !valid_) return d;  // nothing to retain per tile
   // Field guard: a swapped field object invalidates on identity, and a
   // field whose content fingerprint moved (domain, extremes or any grid
   // sample — raw bytes, exact) changes spot geometry everywhere. The
@@ -24,31 +19,13 @@ SynthesisCache::Decision SynthesisCache::plan(const DncSynthesizer& engine,
   // outright: NaN content has stable hash bytes but no trustworthy
   // identity.
   const field::FieldFingerprint fp = field::fingerprint_field(f);
-  if (&f != field_ || !fp.finite || fp != fingerprint_) {
-    valid_ = false;
-    planned_streak_ = 0;
-    return d;
-  }
-  // Serial guard: the engine rendered a frame this cache did not commit
+  // Engine guard: another engine, or a frame this cache did not commit
   // (another driver, or an abandoned frame) — the retained texture regions
   // are not last-committed-frame pixels any more.
-  if (engine.frame_serial() != engine_serial_) {
+  if (&f != field_ || !fp.finite || fp != fingerprint_ || &engine != engine_ ||
+      engine.frame_serial() != engine_serial_) {
     valid_ = false;
-    planned_streak_ = 0;
     return d;
-  }
-  // Grid guard: reuse is expressed per tile of the snapshot's grid.
-  if (!std::ranges::equal(engine.tiles(), tiles_)) {
-    valid_ = false;
-    planned_streak_ = 0;
-    return d;
-  }
-  // Rebalance budget: planned frames freeze a kCostBalanced grid, so force
-  // one full frame per interval to let the kd-cut follow the population.
-  if (engine.dnc_config().tile_strategy == TileStrategy::kCostBalanced &&
-      rebalance_interval > 0 && planned_streak_ >= rebalance_interval) {
-    planned_streak_ = 0;
-    return d;  // full frame; commit() re-snapshots the (possibly new) grid
   }
 
   // The same mapping + conservative extent the engine's preprocessing uses,
@@ -56,9 +33,8 @@ SynthesisCache::Decision SynthesisCache::plan(const DncSynthesizer& engine,
   const SpotGeometryGenerator generator(engine.config(), f);
   d.delta = diff_spots(spots_, spots);
   d.plan.tile_dirty = dirty_tiles(d.delta, spots_, spots, generator.mapping(),
-                                  generator.max_extent_px(), tiles_);
+                                  generator.max_extent_px(), engine.tiles());
   d.incremental = true;
-  ++planned_streak_;
   return d;
 }
 
@@ -66,7 +42,7 @@ void SynthesisCache::commit(const DncSynthesizer& engine,
                             const field::VectorField& f,
                             std::vector<SpotInstance> spots) {
   spots_ = std::move(spots);
-  tiles_.assign(engine.tiles().begin(), engine.tiles().end());
+  engine_ = &engine;
   field_ = &f;
   fingerprint_ = field::fingerprint_field(f);
   engine_serial_ = engine.frame_serial();

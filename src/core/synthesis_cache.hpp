@@ -2,12 +2,13 @@
 // DncSynthesizer must be re-rendered and which can be served from the
 // previous frame's pixels.
 //
-// The cache snapshots the last committed frame — its spot population, the
-// engine's tile grid, a fingerprint of the data field, and the engine's
-// frame serial. plan() diffs the new population against the snapshot
-// (core::FrameDelta) and derives the dirty-tile set; the engine then skips
-// generation, rasterization and readback for clean tiles and retains their
-// region of the final texture untouched. Because rasterization is
+// The cache snapshots the last committed frame — its spot population, a
+// fingerprint of the data field, the engine and its frame serial. plan()
+// diffs the new population against the snapshot (core::FrameDelta) and
+// derives the dirty-tile set on the engine's render grid, which is fixed
+// for the engine's lifetime; the engine then skips generation,
+// rasterization and compose for clean tiles and retains their region of
+// the final texture untouched. Because rasterization is
 // target-independent and accumulation lattice-exact, the retained pixels
 // are bit-identical to a full resynthesis (the incremental fuzz suite
 // asserts exactly that).
@@ -31,26 +32,12 @@
 //     edit the old 8-point probes missed) — but it is still sampled, which
 //     is why in-place steering mutation additionally requires the explicit
 //     invalidate();
-//   * engine serial mismatch: every synthesize() bumps a serial; if the
-//     engine rendered any frame the cache did not commit (another caller,
-//     or a failed frame), the final texture's retained regions can no
-//     longer be trusted;
-//   * tile-grid reshape: a tile layout differing from the snapshot (e.g.
-//     TileStrategy::kCostBalanced re-cutting after an invalidation, or a
-//     config change) invalidates. During a valid incremental run the
-//     engine deliberately keeps the grid frozen — see
-//     DncSynthesizer::synthesize — so kCostBalanced re-balances only on
-//     full frames.
+//   * engine or serial mismatch: every synthesize() bumps a serial; if a
+//     different engine is planned for, or the engine rendered any frame
+//     the cache did not commit (another caller, or a failed frame), the
+//     final texture's retained regions can no longer be trusted;
 //   * non-tiled engines: contiguous mode has no per-tile buffers to
 //     retain; plan() always answers "full".
-//
-// kCostBalanced engines additionally get a rebalance budget: because
-// planned frames freeze the tile grid, a drifting population would leave
-// the frame-1 kd-cut arbitrarily imbalanced forever. After
-// `rebalance_interval` consecutive planned frames the cache answers "full"
-// once, letting the engine re-cut (the following commit snapshots the new
-// grid and incremental planning resumes). Grid-strategy engines skip this
-// — their layout is static, so a forced full frame would buy nothing.
 #pragma once
 
 #include <span>
@@ -90,15 +77,10 @@ class SynthesisCache {
 
   [[nodiscard]] bool valid() const { return valid_; }
 
-  /// Consecutive planned frames a TileStrategy::kCostBalanced engine may
-  /// run before one full frame is forced so the kd-cut can re-balance;
-  /// <= 0 disables the refresh. Ignored for kGrid.
-  int rebalance_interval = 64;
-
  private:
   bool valid_ = false;
   std::vector<SpotInstance> spots_;  ///< last committed population
-  std::vector<Tile> tiles_;          ///< tile grid it was rendered with
+  const DncSynthesizer* engine_ = nullptr;  ///< engine it was rendered by
   const field::VectorField* field_ = nullptr;
   /// Content fingerprint of the committed field (domain + extremes + grid
   /// samples; see field/fingerprint.hpp). plan() rejects non-finite
@@ -106,7 +88,6 @@ class SynthesisCache {
   /// full frames — the same behavior the old NaN-never-equal probes had.
   field::FieldFingerprint fingerprint_{};
   std::int64_t engine_serial_ = -1;
-  int planned_streak_ = 0;  ///< consecutive incremental plans since a full frame
 };
 
 }  // namespace dcsn::core

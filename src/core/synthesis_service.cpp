@@ -101,10 +101,10 @@ SynthesisService::JobTicket SynthesisService::submit(SessionId id,
       // the new job finishes after ~(depth + 1) predicted frame times. If
       // that already blows the deadline, failing fast at the door is
       // strictly better than a guaranteed timeout after a dispatch.
-      const DncConfig& dnc = session.engine->dnc_config();
+      const DncSynthesizer& engine = *session.engine;
       const double predicted = session.model.predict(
-          static_cast<std::int64_t>(request.spots.size()), dnc.processors,
-          dnc.pipes);
+          static_cast<std::int64_t>(request.spots.size()),
+          engine.dnc_config().processors, engine.rasterizers());
       const double depth = static_cast<double>(session.queue.size()) +
                            (session.running ? 1.0 : 0.0);
       if ((depth + 1.0) * predicted > options.deadline_seconds) {
@@ -299,10 +299,10 @@ void SynthesisService::maybe_preempt(double now) {
     const Job& head = *session.queue.front();
     if (head.not_before > now || !std::isfinite(head.deadline_at)) continue;
     if (!session.model_valid) continue;
-    const DncConfig& dnc = session.engine->dnc_config();
+    const DncSynthesizer& engine = *session.engine;
     const double predicted = session.model.predict(
-        static_cast<std::int64_t>(head.request.spots.size()), dnc.processors,
-        dnc.pipes);
+        static_cast<std::int64_t>(head.request.spots.size()),
+        engine.dnc_config().processors, engine.rasterizers());
     const double slack = head.deadline_at - now;
     if (slack > predicted * config_.yield_risk_factor) continue;  // on track
     if (urgent == nullptr || slack < urgent_slack) {
@@ -352,10 +352,10 @@ SynthesisService::DispatchMode SynthesisService::triage(const Session& session,
     return degradable ? DispatchMode::kDegrade : DispatchMode::kTimeout;
   }
   if (degradable && config_.admission_control && session.model_valid) {
-    const DncConfig& dnc = session.engine->dnc_config();
+    const DncSynthesizer& engine = *session.engine;
     const double predicted = session.model.predict(
-        static_cast<std::int64_t>(job.request.spots.size()), dnc.processors,
-        dnc.pipes);
+        static_cast<std::int64_t>(job.request.spots.size()),
+        engine.dnc_config().processors, engine.rasterizers());
     if (now + predicted > job.deadline_at) return DispatchMode::kDegrade;
   }
   return DispatchMode::kRun;
@@ -499,7 +499,9 @@ SynthesisService::RunResult SynthesisService::run_job(Session& session,
     result.service_seq = seq;
     result.attempts = job.attempt;
     if (req.capture_texture) result.texture = engine.texture();
-    out.model = PerfModel::calibrate(stats, engine.dnc_config().pipes);
+    // Every tiled participant rasterizes, so the model's nG is the
+    // engine's rasterizer count, not its pipe count.
+    out.model = PerfModel::calibrate(stats, engine.rasterizers());
     out.value = std::move(result);
     out.outcome = Outcome::kCompleted;
   } catch (const JobCanceled&) {

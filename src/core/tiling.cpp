@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <string>
 
 #include "util/error.hpp"
@@ -41,177 +40,82 @@ std::vector<Tile> make_tile_grid(int width, int height, int count) {
   return tiles;
 }
 
-namespace {
-
-// One spot prepared for the kd-cut: pixel position plus its cost weight.
-struct WeightedSpot {
-  float px = 0.0f;
-  float py = 0.0f;
-  double cost = 1.0;
-};
-
-// Smallest split offset s in [lo, hi] such that the cost in columns [0, s)
-// reaches `target`; `column(spot)` maps a spot to its column in [0, len).
-// `total` is the span's cost sum (the caller already has it).
-template <class ColumnOf>
-int cost_balance_split(std::span<const WeightedSpot> spots, int len, double total,
-                       double target, int lo, int hi, ColumnOf column) {
-  if (total <= 0.0) return std::clamp((lo + hi) / 2, lo, hi);
-  std::vector<double> cost(static_cast<std::size_t>(len), 0.0);
-  for (const WeightedSpot& s : spots) {
-    const int c = std::clamp(column(s), 0, len - 1);
-    cost[static_cast<std::size_t>(c)] += s.cost;
-  }
-  double acc = 0.0;
-  for (int s = 1; s < len; ++s) {
-    acc += cost[static_cast<std::size_t>(s - 1)];
-    if (s < lo) continue;
-    if (acc >= target || s >= hi) return s;
-  }
-  return hi;
-}
-
-void kd_cut(int x0, int y0, int w, int h, int count, std::vector<WeightedSpot>& spots,
-            std::size_t begin, std::size_t end, std::vector<Tile>& out) {
-  if (count == 1) {
-    out.push_back({x0, y0, w, h});
-    return;
-  }
-  int n1 = count / 2;
-  int n2 = count - n1;
-  const double total_cost = std::accumulate(
-      spots.begin() + static_cast<std::ptrdiff_t>(begin),
-      spots.begin() + static_cast<std::ptrdiff_t>(end), 0.0,
-      [](double acc, const WeightedSpot& s) { return acc + s.cost; });
-
-  // Prefer cutting the longer side; fall back to the other when the tile
-  // counts cannot fit (tiny textures), and finally to an area-proportional
-  // count split, which is always feasible while area >= count.
-  bool cut_x = w >= h;
-  bool feasible = false;
-  int split = 0;
-  for (int attempt = 0; attempt < 2 && !feasible; ++attempt, cut_x = !cut_x) {
-    const int len = cut_x ? w : h;
-    const int other = cut_x ? h : w;
-    const int lo = std::max(1, (n1 + other - 1) / other);
-    const int hi = len - std::max(1, (n2 + other - 1) / other);
-    if (lo > hi) continue;
-    feasible = true;
-    const double target = total_cost * static_cast<double>(n1) / count;
-    const std::span<const WeightedSpot> view{spots.data() + begin, end - begin};
-    if (cut_x) {
-      split = cost_balance_split(view, len, total_cost, target, lo, hi,
-                                 [&](const WeightedSpot& s) {
-                                   return static_cast<int>(std::floor(s.px)) - x0;
-                                 });
-    } else {
-      split = cost_balance_split(view, len, total_cost, target, lo, hi,
-                                 [&](const WeightedSpot& s) {
-                                   return static_cast<int>(std::floor(s.py)) - y0;
-                                 });
+std::vector<Tile> make_render_grid(int width, int height) {
+  DCSN_CHECK(width > 0 && height > 0, "texture dimensions must be positive");
+  std::vector<Tile> tiles;
+  int h = 0;
+  for (int y0 = 0; y0 < height; y0 += h) {
+    h = std::min(kRenderTileEdge, height - y0);
+    int w = 0;
+    for (int x0 = 0; x0 < width; x0 += w) {
+      w = std::min(kRenderTileEdge, width - x0);
+      tiles.push_back({x0, y0, w, h});
     }
   }
-  cut_x = !cut_x;  // undo the loop's final flip
-  if (!feasible) {
-    // Area-proportional fallback: split the longer side in half and hand
-    // each half as many tiles as its area can host.
-    cut_x = w >= h;
-    const int len = cut_x ? w : h;
-    const int other = cut_x ? h : w;
-    split = std::clamp(len / 2, 1, len - 1);
-    const int left_cap = split * other;
-    const int right_cap = (len - split) * other;
-    n1 = std::clamp(count / 2, count - right_cap, left_cap);
-    n2 = count - n1;
-  }
+  return tiles;
+}
 
-  const float boundary =
-      static_cast<float>(cut_x ? x0 + split : y0 + split);
-  const auto mid_it = std::partition(
-      spots.begin() + static_cast<std::ptrdiff_t>(begin),
-      spots.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](const WeightedSpot& s) { return (cut_x ? s.px : s.py) < boundary; });
-  const auto mid = static_cast<std::size_t>(mid_it - spots.begin());
-  if (cut_x) {
-    kd_cut(x0, y0, split, h, n1, spots, begin, mid, out);
-    kd_cut(x0 + split, y0, w - split, h, n2, spots, mid, end, out);
-  } else {
-    kd_cut(x0, y0, w, split, n1, spots, begin, mid, out);
-    kd_cut(x0, y0 + split, w, h - split, n2, spots, mid, end, out);
+TileIndex::TileIndex(std::span<const Tile> tiles) {
+  std::size_t t = 0;
+  while (t < tiles.size()) {
+    // One row: tiles sharing the row's top edge and height, abutting left
+    // to right across the same columns as the first row.
+    const Tile& head = tiles[t];
+    DCSN_CHECK(rows_.empty() || (head.y0 == row_edges_.back() &&
+                                 head.x0 == rows_.front().col_edges.front()),
+               "tiles do not form a row grid: a row must start at the grid's "
+               "left edge, right below the previous row");
+    Row row{t, {head.x0}};
+    while (t < tiles.size() && tiles[t].y0 == head.y0 &&
+           tiles[t].x0 == row.col_edges.back() &&
+           (rows_.empty() || row.col_edges.back() != rows_.front().col_edges.back())) {
+      DCSN_CHECK(tiles[t].height == head.height && tiles[t].width > 0 && head.height > 0,
+                 "tiles do not form a row grid: tiles of a row need the row's "
+                 "height and a positive width");
+      row.col_edges.push_back(tiles[t].x0 + tiles[t].width);
+      ++t;
+    }
+    DCSN_CHECK(rows_.empty() || row.col_edges.back() == rows_.front().col_edges.back(),
+               "tiles do not form a row grid: every row must span the same columns");
+    if (rows_.empty()) row_edges_.push_back(head.y0);
+    row_edges_.push_back(head.y0 + head.height);
+    rows_.push_back(std::move(row));
   }
 }
 
-}  // namespace
-
-std::vector<Tile> make_balanced_tiles(int width, int height, int count,
-                                      std::span<const SpotInstance> spots,
-                                      const render::WorldToImage& mapping,
-                                      std::span<const double> spot_costs) {
-  DCSN_CHECK(width > 0 && height > 0, "texture dimensions must be positive");
-  DCSN_CHECK(count >= 1, "tile count must be >= 1");
-  DCSN_CHECK(static_cast<std::int64_t>(width) * height >= count,
-             std::to_string(count) + " tiles cannot fit a " + std::to_string(width) +
-                 "x" + std::to_string(height) + " px texture");
-  DCSN_CHECK(spot_costs.empty() || spot_costs.size() == spots.size(),
-             "spot_costs must be empty or one cost per spot");
-
-  std::vector<WeightedSpot> weighted;
-  weighted.reserve(spots.size());
-  for (std::size_t k = 0; k < spots.size(); ++k) {
-    const auto [px, py] = mapping.map(spots[k].position);
-    weighted.push_back({static_cast<float>(px), static_cast<float>(py),
-                        spot_costs.empty() ? 1.0 : spot_costs[k]});
-  }
-
-  std::vector<Tile> tiles;
-  tiles.reserve(static_cast<std::size_t>(count));
-  kd_cut(0, 0, width, height, count, weighted, 0, weighted.size(), tiles);
-  return tiles;
+std::pair<int, int> TileIndex::overlap_range(double lo, double hi,
+                                             std::span<const int> edges) {
+  const int n = static_cast<int>(edges.size()) - 1;
+  // A NaN bound fails every comparison below, so it drops its side of the
+  // test: a NaN coordinate overlaps every interval.
+  if (n <= 0 || lo >= edges.back() || hi < edges.front()) return {1, 0};
+  // The interval holding v, for edges[0] <= v < edges[n]: a guess from the
+  // first interval's size, corrected by the steps a shorter remainder
+  // interval or an uneven split costs.
+  auto locate = [&](double v) {
+    int i = static_cast<int>((v - edges[0]) / (edges[1] - edges[0]));
+    i = std::clamp(i, 0, n - 1);
+    while (v < edges[static_cast<std::size_t>(i)]) --i;
+    while (v >= edges[static_cast<std::size_t>(i) + 1]) ++i;
+    return i;
+  };
+  return {lo >= edges.front() ? locate(lo) : 0, hi < edges.back() ? locate(hi) : n - 1};
 }
 
 TileAssignment assign_spots_to_tiles(std::span<const SpotInstance> spots,
                                      const render::WorldToImage& mapping,
                                      double extent_px, std::span<const Tile> tiles) {
   DCSN_CHECK(extent_px >= 0.0, "spot extent must be non-negative");
-  // The tiles partition a rectangle; anything outside it cannot be rendered,
-  // so a spot is allowed to match no tile only when its extent misses the
-  // union entirely.
-  int union_x0 = tiles.empty() ? 0 : tiles[0].x0;
-  int union_y0 = tiles.empty() ? 0 : tiles[0].y0;
-  int union_x1 = union_x0;
-  int union_y1 = union_y0;
-  for (const Tile& tile : tiles) {
-    union_x0 = std::min(union_x0, tile.x0);
-    union_y0 = std::min(union_y0, tile.y0);
-    union_x1 = std::max(union_x1, tile.x0 + tile.width);
-    union_y1 = std::max(union_y1, tile.y0 + tile.height);
-  }
-
+  const TileIndex index(tiles);
   TileAssignment out;
   out.per_tile.resize(tiles.size());
   std::int64_t assignments = 0;
   for (std::size_t k = 0; k < spots.size(); ++k) {
     const auto [px, py] = mapping.map(spots[k].position);
-    const double lo_x = px - extent_px;
-    const double hi_x = px + extent_px;
-    const double lo_y = py - extent_px;
-    const double hi_y = py + extent_px;
-    bool matched = false;
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      const Tile& tile = tiles[t];
-      // A tile covers the half-open pixel rect [x0, x0+width) x [y0,
-      // y0+height): the upper bound is exclusive, so a spot whose extent
-      // only touches the right/bottom edge belongs to the neighbor alone.
-      if (hi_x < tile.x0 || lo_x >= tile.x0 + tile.width) continue;
-      if (hi_y < tile.y0 || lo_y >= tile.y0 + tile.height) continue;
+    index.for_each_overlap(px, py, extent_px, [&](std::size_t t) {
       out.per_tile[t].push_back(static_cast<std::int64_t>(k));
       ++assignments;
-      matched = true;
-    }
-    const bool outside_union = hi_x < union_x0 || lo_x >= union_x1 ||
-                               hi_y < union_y0 || lo_y >= union_y1;
-    DCSN_CHECK(matched || outside_union,
-               "spot extent overlaps the tiled texture but landed in no tile");
+    });
   }
   out.duplicates = assignments - static_cast<std::int64_t>(spots.size());
   return out;

@@ -1,5 +1,7 @@
 #include "net/protocol.hpp"
 
+#include <limits>
+
 #include "field/analytic.hpp"
 #include "util/hash.hpp"
 
@@ -13,6 +15,25 @@ namespace {
   return v;
 }
 
+template <class Int>
+[[nodiscard]] Int checked_int(Int v, Int lo, Int hi, const char* what) {
+  if (v < lo || v > hi) throw ProtocolError(std::string("out-of-range value: ") + what);
+  return v;
+}
+
+/// A real in [lo, hi]; NaN fails both comparisons and is rejected too.
+[[nodiscard]] double checked_real(double v, double lo, double hi, const char* what) {
+  if (!(v >= lo && v <= hi)) {
+    throw ProtocolError(std::string("out-of-range or non-finite value: ") + what);
+  }
+  return v;
+}
+
+[[nodiscard]] double checked_finite(double v, const char* what) {
+  return checked_real(v, -std::numeric_limits<double>::max(),
+                      std::numeric_limits<double>::max(), what);
+}
+
 void encode_rect(WireWriter& w, const field::Rect& r) {
   w.f64(r.x0);
   w.f64(r.y0);
@@ -22,10 +43,10 @@ void encode_rect(WireWriter& w, const field::Rect& r) {
 
 [[nodiscard]] field::Rect decode_rect(WireReader& r) {
   field::Rect rect;
-  rect.x0 = r.f64();
-  rect.y0 = r.f64();
-  rect.x1 = r.f64();
-  rect.y1 = r.f64();
+  rect.x0 = checked_finite(r.f64(), "rect.x0");
+  rect.y0 = checked_finite(r.f64(), "rect.y0");
+  rect.x1 = checked_finite(r.f64(), "rect.x1");
+  rect.y1 = checked_finite(r.f64(), "rect.y1");
   return rect;
 }
 
@@ -50,21 +71,23 @@ void encode_synthesis(WireWriter& w, const core::SynthesisConfig& c) {
 
 [[nodiscard]] core::SynthesisConfig decode_synthesis(WireReader& r) {
   core::SynthesisConfig c;
-  c.texture_width = r.i32();
-  c.texture_height = r.i32();
-  c.spot_count = r.i64();
-  c.spot_radius_px = r.f64();
+  c.texture_width = checked_int(r.i32(), 1, kMaxTextureSide, "texture_width");
+  c.texture_height = checked_int(r.i32(), 1, kMaxTextureSide, "texture_height");
+  c.spot_count = checked_int(r.i64(), std::int64_t{0},
+                             std::numeric_limits<std::int64_t>::max(), "spot_count");
+  c.spot_radius_px = checked_real(r.f64(), 0.0, kMaxSpotScale, "spot_radius_px");
   c.kind = static_cast<core::SpotKind>(checked_u8_enum(
       r.u8(), static_cast<std::uint8_t>(core::SpotKind::kBent), "SpotKind"));
-  c.ellipse.max_stretch = r.f64();
-  c.bent.mesh_cols = r.i32();
-  c.bent.mesh_rows = r.i32();
-  c.bent.length_px = r.f64();
-  c.bent.trace_substeps = r.i32();
+  c.ellipse.max_stretch = checked_real(r.f64(), 0.0, kMaxSpotScale, "max_stretch");
+  c.bent.mesh_cols = checked_int(r.i32(), 2, kMaxMeshSide, "mesh_cols");
+  c.bent.mesh_rows = checked_int(r.i32(), 2, kMaxMeshSide, "mesh_rows");
+  c.bent.length_px = checked_real(r.f64(), 0.0, kMaxSpotScale, "length_px");
+  c.bent.trace_substeps = checked_int(r.i32(), 1, kMaxTraceSubsteps, "trace_substeps");
   c.profile_shape = static_cast<render::SpotShape>(checked_u8_enum(
       r.u8(), static_cast<std::uint8_t>(render::SpotShape::kRing), "SpotShape"));
-  c.profile_resolution = r.i32();
-  c.intensity_scale = r.f64();
+  c.profile_resolution =
+      checked_int(r.i32(), 2, kMaxProfileResolution, "profile_resolution");
+  c.intensity_scale = checked_finite(r.f64(), "intensity_scale");
   if (r.u8() != 0) c.window = decode_rect(r);
   c.seed = r.u64();
   return c;
@@ -80,27 +103,28 @@ void encode_dnc(WireWriter& w, const core::DncConfig& c) {
   w.u8(static_cast<std::uint8_t>(c.raster_algorithm));
   w.u32(static_cast<std::uint32_t>(c.pipe_queue_capacity));
   w.u8(c.tiled ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(c.tile_strategy));
   w.u8(c.steal ? 1 : 0);
   w.u8(c.tile_cache ? 1 : 0);
 }
 
 [[nodiscard]] core::DncConfig decode_dnc(WireReader& r) {
   core::DncConfig c;
-  c.processors = r.i32();
-  c.pipes = r.i32();
-  c.chunk_spots = r.i64();
-  c.bus_bytes_per_second = r.f64();
-  c.state_change_seconds = r.f64();
-  c.raster_cost_multiplier = r.f64();
+  c.processors = checked_int(r.i32(), 1, kMaxProcessors, "processors");
+  c.pipes = checked_int(r.i32(), 1, kMaxPipes, "pipes");
+  c.chunk_spots = checked_int(r.i64(), std::int64_t{1}, kMaxChunkSpots, "chunk_spots");
+  c.bus_bytes_per_second = checked_real(r.f64(), 0.0,
+                                        std::numeric_limits<double>::max(),
+                                        "bus_bytes_per_second");
+  c.state_change_seconds =
+      checked_real(r.f64(), 0.0, kMaxStateChangeSeconds, "state_change_seconds");
+  c.raster_cost_multiplier = checked_real(r.f64(), 1.0, kMaxRasterCostMultiplier,
+                                          "raster_cost_multiplier");
   c.raster_algorithm = static_cast<render::RasterAlgorithm>(checked_u8_enum(
       r.u8(), static_cast<std::uint8_t>(render::RasterAlgorithm::kReference),
       "RasterAlgorithm"));
-  c.pipe_queue_capacity = r.u32();
+  c.pipe_queue_capacity =
+      checked_int(r.u32(), 1u, kMaxPipeQueueCapacity, "pipe_queue_capacity");
   c.tiled = r.u8() != 0;
-  c.tile_strategy = static_cast<core::TileStrategy>(checked_u8_enum(
-      r.u8(), static_cast<std::uint8_t>(core::TileStrategy::kCostBalanced),
-      "TileStrategy"));
   c.steal = r.u8() != 0;
   c.tile_cache = r.u8() != 0;
   return c;
@@ -121,10 +145,10 @@ FieldSpec FieldSpec::decode(WireReader& r) {
   FieldSpec s;
   s.kind = static_cast<Kind>(checked_u8_enum(
       r.u8(), static_cast<std::uint8_t>(Kind::kDoubleGyre), "FieldSpec::Kind"));
-  s.a = r.f64();
-  s.b = r.f64();
-  s.c = r.f64();
-  s.d = r.f64();
+  s.a = checked_finite(r.f64(), "FieldSpec.a");
+  s.b = checked_finite(r.f64(), "FieldSpec.b");
+  s.c = checked_finite(r.f64(), "FieldSpec.c");
+  s.d = checked_finite(r.f64(), "FieldSpec.d");
   s.domain = decode_rect(r);
   return s;
 }

@@ -22,8 +22,10 @@
 //
 // Defensive decoding: WireReader bounds-checks every get, read_message()
 // rejects bad magic, oversized declared lengths (kMaxPayloadBytes) and
-// mid-message EOF with ProtocolError — the torture suite in
-// tests/test_net.cpp feeds exactly those corruptions.
+// mid-message EOF with ProtocolError, and OpenSessionMsg::decode rejects a
+// session config outside the server's resource bounds (kMaxProcessors and
+// friends below) — the torture suite in tests/test_net.cpp feeds exactly
+// those corruptions.
 #pragma once
 
 #include <bit>
@@ -50,12 +52,35 @@ class ProtocolError : public util::Error {
 };
 
 inline constexpr std::uint32_t kMagic = 0x4E534344u;  // "DCSN" little-endian
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// 2: DncConfig lost its tile-strategy byte (tiled mode has one grid).
+inline constexpr std::uint32_t kProtocolVersion = 2;
 /// Upper bound on a declared payload length. A 4 KiB texture at f32 is
 /// 64 MiB; anything above this is a corrupt or hostile length prefix, not a
 /// frame, and must be rejected *before* allocating.
 inline constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
 inline constexpr std::size_t kHeaderBytes = 9;
+
+// Session-config bounds OpenSessionMsg::decode enforces; anything outside
+// them, or any non-finite real, is a ProtocolError. A client describes a
+// workload, while the server owns the threads, busy-spins and buffers that
+// serve it: `processors` sizes the shared worker pool, `pipes` starts pipe
+// server threads, the texture side sizes every framebuffer and
+// `state_change_seconds` is spun per pipe state change. Unbounded, one
+// OpenSession could make the server start 2^31 threads.
+inline constexpr std::int32_t kMaxProcessors = 64;
+inline constexpr std::int32_t kMaxPipes = 16;
+/// Texture width and height, px (a full 4096^2 f32 texture is 64 MiB).
+inline constexpr std::int32_t kMaxTextureSide = 4096;
+inline constexpr std::int64_t kMaxChunkSpots = std::int64_t{1} << 20;
+inline constexpr std::uint32_t kMaxPipeQueueCapacity = 4096;
+inline constexpr double kMaxStateChangeSeconds = 1e-3;
+inline constexpr double kMaxRasterCostMultiplier = 16.0;
+/// Bent-spot mesh columns and rows (the paper's largest mesh is 32x17).
+inline constexpr std::int32_t kMaxMeshSide = 128;
+inline constexpr std::int32_t kMaxTraceSubsteps = 64;
+inline constexpr std::int32_t kMaxProfileResolution = 4096;
+/// Spot radius, bent-spot length and ellipse stretch, in their own units.
+inline constexpr double kMaxSpotScale = 4096.0;
 
 enum class MsgType : std::uint8_t {
   // client -> server

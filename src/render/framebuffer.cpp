@@ -56,6 +56,30 @@ void Framebuffer::copy_rect_from(const Framebuffer& src, int x0, int y0) {
   }
 }
 
+void Framebuffer::sum_rect_from(std::span<const Framebuffer> parts, int x0, int y0,
+                                int width, int height) {
+  // Widened like copy_rect_from's bounds check.
+  DCSN_CHECK(x0 >= 0 && y0 >= 0 && width >= 0 && height >= 0 &&
+                 static_cast<std::int64_t>(x0) + width <= width_ &&
+                 static_cast<std::int64_t>(y0) + height <= height_,
+             "summed rect must lie inside the destination");
+  for (const Framebuffer& part : parts) {
+    DCSN_CHECK(part.width_ == width_ && part.height_ == height_,
+               "sum_rect_from requires equal framebuffer sizes");
+  }
+  const auto& add = util::simd::kernels().add;
+  for (int y = y0; y < y0 + height; ++y) {
+    const std::size_t offset =
+        static_cast<std::size_t>(y) * static_cast<std::size_t>(width_) +
+        static_cast<std::size_t>(x0);
+    float* row = data_.data() + offset;
+    std::fill(row, row + width, 0.0f);
+    for (const Framebuffer& part : parts) {
+      add(row, part.data_.data() + offset, static_cast<std::size_t>(width));
+    }
+  }
+}
+
 void Framebuffer::extract_rect_into(Framebuffer& dst, int x0, int y0) const {
   // Same signed-overflow hazard as copy_rect_from: widen before adding.
   DCSN_CHECK(x0 >= 0 && y0 >= 0 &&

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/span2d.hpp"
@@ -50,6 +51,15 @@ class Framebuffer {
 
   /// Copies `src` into this buffer at offset (x0, y0) (tile composition).
   void copy_rect_from(const Framebuffer& src, int x0, int y0);
+
+  /// Overwrites the width x height rect at (x0, y0) with the elementwise
+  /// sum of the same rect of every buffer in `parts`, each sized like this
+  /// one (no parts: zeros). How the tiled engine composes a tile from its
+  /// participants' partials: contributions sit on the exact accumulation
+  /// lattice, so neither the order of `parts` nor how the spots were split
+  /// among them can show in the result.
+  void sum_rect_from(std::span<const Framebuffer> parts, int x0, int y0, int width,
+                     int height);
 
   /// The inverse of copy_rect_from: copies the rect at (x0, y0) with `dst`'s
   /// dimensions out of this buffer into `dst` (tile extraction — how the

@@ -14,8 +14,7 @@
 //
 // These tests assert the consequence: the same SynthesisConfig seed and
 // spot set produce BIT-IDENTICAL textures across worker counts, pipe
-// counts, contiguous vs tiled mode, both tile strategies, and with work
-// stealing forced on — and across repeated runs of the same configuration,
+// counts, contiguous vs tiled mode, and with work stealing forced on — and across repeated runs of the same configuration,
 // which is what the golden-frame suite depends on. No tolerance anywhere:
 // Framebuffer::operator== compares every float for equality.
 //
@@ -44,7 +43,6 @@ using namespace dcsn;
 using core::DncConfig;
 using core::DncSynthesizer;
 using core::SynthesisConfig;
-using core::TileStrategy;
 
 struct Scene {
   std::unique_ptr<field::VectorField> field;
@@ -100,7 +98,6 @@ TEST(Determinism, RepeatedTiledRunsAreBitIdentical) {
   const Scene scene = make_scene(core::SpotKind::kEllipse);
   DncConfig dnc = base_config();
   dnc.tiled = true;
-  dnc.pipes = 4;
   const render::Framebuffer first = run(scene, dnc);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(first, run(scene, dnc)) << "rerun " << i;
@@ -133,7 +130,7 @@ TEST(Determinism, WorkerCountDoesNotChangeBits) {
   }
 }
 
-// ------------------------------------------------------ mode / strategy ---
+// ----------------------------------------------------------------- mode ---
 
 TEST(Determinism, ContiguousAndTiledModesMatchBitwise) {
   const Scene scene = make_scene(core::SpotKind::kEllipse);
@@ -141,23 +138,10 @@ TEST(Determinism, ContiguousAndTiledModesMatchBitwise) {
   dnc.pipes = 4;
   const render::Framebuffer contiguous = run(scene, dnc);
   dnc.tiled = true;
-  dnc.tile_strategy = TileStrategy::kGrid;
-  EXPECT_EQ(contiguous, run(scene, dnc)) << "tiled grid";
-  dnc.tile_strategy = TileStrategy::kCostBalanced;
-  EXPECT_EQ(contiguous, run(scene, dnc)) << "tiled cost-balanced";
-}
-
-TEST(Determinism, TileStrategyDoesNotChangeBits) {
-  // Bent spots give the kd-cut non-uniform weights, so the two strategies
-  // produce genuinely different tile rectangles — and identical textures.
-  const Scene scene = make_scene(core::SpotKind::kBent);
-  DncConfig dnc = base_config();
-  dnc.tiled = true;
-  dnc.pipes = 4;
-  dnc.tile_strategy = TileStrategy::kGrid;
-  const render::Framebuffer grid = run(scene, dnc);
-  dnc.tile_strategy = TileStrategy::kCostBalanced;
-  EXPECT_EQ(grid, run(scene, dnc));
+  for (const int processors : {1, 4}) {
+    dnc.processors = processors;
+    EXPECT_EQ(contiguous, run(scene, dnc)) << "tiled, " << processors << " processors";
+  }
 }
 
 // ---------------------------------------------------------------- steal ---
@@ -227,34 +211,26 @@ TEST(Determinism, TileCacheOnOffDoesNotChangeBits) {
   // The content-addressed TileStore (DncConfig::tile_cache) must be
   // bit-invisible: cold frames (publishing), warm frames (every tile served
   // from the store) and uncached frames all produce the same texture —
-  // across pipe counts and both tile strategies. Each configuration gets a
-  // private Runtime so its store starts cold.
+  // across processor counts. Each configuration gets a private Runtime so
+  // its store starts cold.
   const Scene scene = make_scene(core::SpotKind::kBent);
   DncConfig dnc = base_config();
   dnc.tiled = true;
-  dnc.pipes = 4;
   const render::Framebuffer reference = run(scene, dnc);
 
-  for (const int pipes : {2, 4}) {
-    for (const TileStrategy strategy :
-         {TileStrategy::kGrid, TileStrategy::kCostBalanced}) {
-      core::Runtime runtime({.workers = 4});
-      DncConfig cached = dnc;
-      cached.pipes = pipes;
-      cached.tile_strategy = strategy;
-      cached.tile_cache = true;
-      DncSynthesizer engine(scene.synthesis, cached, runtime);
-      const core::FrameStats cold = engine.synthesize(*scene.field, scene.spots);
-      EXPECT_EQ(reference, engine.texture())
-          << pipes << " pipes, strategy " << static_cast<int>(strategy)
-          << " (cold)";
-      EXPECT_EQ(cold.cache_tiles_published, pipes);
-      const core::FrameStats warm = engine.synthesize(*scene.field, scene.spots);
-      EXPECT_EQ(reference, engine.texture())
-          << pipes << " pipes, strategy " << static_cast<int>(strategy)
-          << " (warm)";
-      EXPECT_EQ(warm.cache_tile_hits, pipes);
-    }
+  for (const int processors : {1, 4}) {
+    core::Runtime runtime({.workers = 4});
+    DncConfig cached = dnc;
+    cached.processors = processors;
+    cached.tile_cache = true;
+    DncSynthesizer engine(scene.synthesis, cached, runtime);
+    const auto tiles = static_cast<std::int64_t>(engine.tiles().size());
+    const core::FrameStats cold = engine.synthesize(*scene.field, scene.spots);
+    EXPECT_EQ(reference, engine.texture()) << processors << " processors (cold)";
+    EXPECT_EQ(cold.cache_tiles_published, tiles);
+    const core::FrameStats warm = engine.synthesize(*scene.field, scene.spots);
+    EXPECT_EQ(reference, engine.texture()) << processors << " processors (warm)";
+    EXPECT_EQ(warm.cache_tile_hits, tiles);
   }
 }
 
@@ -265,13 +241,14 @@ TEST(Determinism, TileCacheThrashingDoesNotChangeBits) {
   const Scene scene = make_scene(core::SpotKind::kEllipse);
   DncConfig dnc = base_config();
   dnc.tiled = true;
-  dnc.pipes = 4;
   const render::Framebuffer reference = run(scene, dnc);
 
-  // 96x96 over 4 grid tiles = 48x48 tiles of 9216 bytes; budget two tiles
-  // across two shards so publishes constantly displace each other.
+  // 96x96 on the 64-px render grid = tiles of 64x64, 32x64, 64x32 and
+  // 32x32 (36864 bytes a frame); budget two of the largest across two
+  // shards, so every shard fits one and publishes constantly displace each
+  // other.
   core::Runtime runtime(
-      {.workers = 4, .tile_cache_bytes = 2 * 48 * 48 * sizeof(float),
+      {.workers = 4, .tile_cache_bytes = 2 * 64 * 64 * sizeof(float),
        .tile_cache_shards = 2});
   dnc.tile_cache = true;
   DncSynthesizer a(scene.synthesis, dnc, runtime);
@@ -303,7 +280,6 @@ TEST(Determinism, CrossSessionWorkSharingDoesNotChangeBits) {
   DncConfig dnc_a = base_config();  // contiguous, 2 pipes
   DncConfig dnc_b = base_config();
   dnc_b.tiled = true;  // mixed modes share the same worker pool
-  dnc_b.pipes = 4;
   const render::Framebuffer ref_a = run(scene_a, dnc_a);
   const render::Framebuffer ref_b = run(scene_b, dnc_b);
 

@@ -222,12 +222,13 @@ void run_engine_case(FaultSite site, bool delay_mode) {
   int pool_workers = 3;
   std::unique_ptr<field::VectorField> field;
   if (site == FaultSite::kQueuePop) {
-    // The timed inbox wait only runs when a master starves while deliveries
-    // are still in flight: tiny chunks claimed instantly but generated
-    // slowly by a crowd of producers keep that window open — which also
-    // makes this case the stress pin for the master-exit handshake (exit
-    // must terminate through injected spurious timeouts without losing a
-    // delivery).
+    // The timed inbox wait only runs in contiguous mode (tiled frames have
+    // no masters), when a master starves while deliveries are still in
+    // flight: tiny chunks claimed instantly but generated slowly by a crowd
+    // of producers keep that window open — which also makes this case the
+    // stress pin for the master-exit handshake (exit must terminate
+    // through injected spurious timeouts without losing a delivery).
+    dnc.tiled = false;
     dnc.chunk_spots = 1;
     dnc.pipe_queue_capacity = 2;
     dnc.processors = 4;
@@ -284,8 +285,8 @@ void run_engine_case(FaultSite site, bool delay_mode) {
   // only when the racy window they model actually opens (a starved master,
   // a worker pickup), which depends on the interleaving — if the main
   // frames never opened it, force it open structurally instead of
-  // replaying the same schedule and hoping. One group, two wide chunks,
-  // tile cache off (a cache hit generates nothing and so can never
+  // replaying the same schedule and hoping. One contiguous group, two wide
+  // chunks, tile cache off (a cache hit generates nothing and so can never
   // starve): a single pool producer's register->generate->deliver cycle
   // then spans half the frame, so the master reliably runs dry while a
   // delivery is still in flight. (A 1-core TSan run can starve the
@@ -298,6 +299,7 @@ void run_engine_case(FaultSite site, bool delay_mode) {
       site == FaultSite::kWorkerPickup || site == FaultSite::kQueuePop;
   if (scheduling_site && site_evaluations() == 0) {
     core::DncConfig wide = dnc;
+    wide.tiled = false;
     wide.pipes = 1;
     wide.processors = 2;
     wide.chunk_spots = config.spot_count / 2;

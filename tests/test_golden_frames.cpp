@@ -17,8 +17,8 @@
 // running.
 //
 // The scene matrix deliberately crosses both raster algorithms and both
-// tile strategies with the three field families (analytic, curvilinear,
-// volume slice) and all three spot kinds.
+// engine modes (contiguous gather-blend, tiled) with the three field
+// families (analytic, curvilinear, volume slice) and all three spot kinds.
 //
 // ctest label: golden.
 #include <gtest/gtest.h>
@@ -47,7 +47,6 @@ using namespace dcsn;
 using core::DncConfig;
 using core::DncSynthesizer;
 using core::SynthesisConfig;
-using core::TileStrategy;
 using render::RasterAlgorithm;
 
 bool g_update_goldens = false;
@@ -70,9 +69,8 @@ void check_scene(const std::string& scene, const field::VectorField& f,
   for (auto& s : spots) s.intensity *= 0.2;
 
   DncSynthesizer engine(sc, dnc);
-  // Two frames: the second exercises warm pipe state and (for
-  // kCostBalanced) the settled tile layout, which is what animation runs
-  // actually hash like.
+  // Two frames: the second exercises warm pipe and pool state, which is
+  // what animation runs actually hash like.
   engine.synthesize(f, spots);
   engine.synthesize(f, spots);
   const std::string actual = hex64(engine.texture().content_hash());
@@ -111,14 +109,12 @@ SynthesisConfig base_synthesis(core::SpotKind kind) {
   return sc;
 }
 
-DncConfig config(int pipes, bool tiled, TileStrategy strategy,
-                 RasterAlgorithm algo) {
+DncConfig config(int pipes, bool tiled, RasterAlgorithm algo) {
   DncConfig dnc;
   dnc.processors = 2 * pipes;
   dnc.pipes = pipes;
   dnc.chunk_spots = 16;
   dnc.tiled = tiled;
-  dnc.tile_strategy = strategy;
   dnc.raster_algorithm = algo;
   return dnc;
 }
@@ -130,7 +126,7 @@ TEST(GoldenFrames, VortexEllipseContiguousSpan) {
   const auto f = field::analytic::rankine_vortex({2.0, 2.0}, 1.5, 1.0, domain);
   check_scene("vortex_ellipse_contiguous_span", *f,
               base_synthesis(core::SpotKind::kEllipse),
-              config(2, false, TileStrategy::kGrid, RasterAlgorithm::kSpan));
+              config(2, false, RasterAlgorithm::kSpan));
 }
 
 TEST(GoldenFrames, ShearPointTiledGridSpan) {
@@ -138,7 +134,7 @@ TEST(GoldenFrames, ShearPointTiledGridSpan) {
   const auto f = field::analytic::shear(0.8, domain);
   check_scene("shear_point_tiled_grid_span", *f,
               base_synthesis(core::SpotKind::kPoint),
-              config(4, true, TileStrategy::kGrid, RasterAlgorithm::kSpan));
+              config(4, true, RasterAlgorithm::kSpan));
 }
 
 TEST(GoldenFrames, BentGridBentCostBalancedSpan) {
@@ -149,9 +145,12 @@ TEST(GoldenFrames, BentGridBentCostBalancedSpan) {
   });
   field::CurvilinearVectorField f(std::move(grid));
   f.fill([](field::Vec2 p) { return field::Vec2{0.5 + 0.1 * p.y, 0.3}; });
+  // Recorded under the retired per-frame kd-cut tiling; the lattice makes
+  // the hash independent of the tile layout, so the render grid must
+  // reproduce it.
   check_scene("bentgrid_bent_costbalanced_span", f,
               base_synthesis(core::SpotKind::kBent),
-              config(2, true, TileStrategy::kCostBalanced, RasterAlgorithm::kSpan));
+              config(2, true, RasterAlgorithm::kSpan));
 }
 
 TEST(GoldenFrames, VolumeSliceEllipseContiguousReference) {
@@ -160,7 +159,7 @@ TEST(GoldenFrames, VolumeSliceEllipseContiguousReference) {
       field::extract_slice(volume, field::SliceAxis::kZ, 3.14159, 24, 24);
   check_scene("volume_slice_ellipse_contiguous_reference", slice,
               base_synthesis(core::SpotKind::kEllipse),
-              config(2, false, TileStrategy::kGrid, RasterAlgorithm::kReference));
+              config(2, false, RasterAlgorithm::kReference));
 }
 
 TEST(GoldenFrames, VortexBentContiguousSpan) {
@@ -168,16 +167,16 @@ TEST(GoldenFrames, VortexBentContiguousSpan) {
   const auto f = field::analytic::rankine_vortex({2.0, 2.0}, 1.5, 1.0, domain);
   check_scene("vortex_bent_contiguous_span", *f,
               base_synthesis(core::SpotKind::kBent),
-              config(2, false, TileStrategy::kGrid, RasterAlgorithm::kSpan));
+              config(2, false, RasterAlgorithm::kSpan));
 }
 
 TEST(GoldenFrames, ShearEllipseCostBalancedReference) {
   const field::Rect domain{0.0, 0.0, 4.0, 4.0};
   const auto f = field::analytic::shear(0.8, domain);
+  // Recorded under the retired kd-cut tiling, like the bent-grid scene.
   check_scene("shear_ellipse_costbalanced_reference", *f,
               base_synthesis(core::SpotKind::kEllipse),
-              config(4, true, TileStrategy::kCostBalanced,
-                     RasterAlgorithm::kReference));
+              config(4, true, RasterAlgorithm::kReference));
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "core/frame_delta.hpp"
 #include "core/perf_model.hpp"
 #include "core/runtime.hpp"
+#include "core/serial_synthesizer.hpp"
 #include "core/spot_source.hpp"
 #include "core/synthesis_cache.hpp"
 #include "core/tile_store.hpp"
@@ -52,13 +53,15 @@ std::unique_ptr<field::VectorField> make_field() {
       kDomain, 0.6);
 }
 
-SynthesisConfig small_synthesis() {
+// 128x128 is a 2x2 render grid of 64px tiles; `side` grows it for the
+// many-tile cases.
+SynthesisConfig small_synthesis(int side = 128) {
   SynthesisConfig sc;
-  sc.texture_width = 64;
-  sc.texture_height = 64;
+  sc.texture_width = side;
+  sc.texture_height = side;
   sc.spot_count = 200;
   sc.spot_radius_px = 5.0;
-  // Point spots: a 6px conservative extent, so a spot deep inside a 32px
+  // Point spots: a 6px conservative extent, so a spot deep inside a 64px
   // tile really stays inside it. (An ellipse's extent is radius*max_stretch
   // — at this scale every spot would conservatively touch several tiles and
   // the reuse assertions below would be vacuous.)
@@ -66,10 +69,9 @@ SynthesisConfig small_synthesis() {
   return sc;
 }
 
-DncConfig tiled_config(int pipes = 4) {
+DncConfig tiled_config(int processors = 4) {
   DncConfig dnc;
-  dnc.processors = pipes;
-  dnc.pipes = pipes;
+  dnc.processors = processors;
   dnc.tiled = true;
   dnc.chunk_spots = 16;
   return dnc;
@@ -147,8 +149,8 @@ TEST(FrameDelta, DirtyTilesCoverOldAndNewExtent) {
 // reused at least one tile, so callers can assert the test exercised the
 // incremental path rather than degenerating to all-dirty frames.
 int fuzz_sequence(DncConfig dnc, std::uint64_t seed, int frames,
-                  double churn, bool force_invalidations) {
-  const SynthesisConfig sc = small_synthesis();
+                  double churn, bool force_invalidations, int side = 128) {
+  const SynthesisConfig sc = small_synthesis(side);
   const auto field = make_field();
   DncSynthesizer full(sc, dnc);
   DncSynthesizer incremental(sc, dnc);
@@ -200,27 +202,77 @@ int fuzz_sequence(DncConfig dnc, std::uint64_t seed, int frames,
 }
 
 TEST(IncrementalFuzz, FiftyFramesLowChurnBitIdentical) {
-  const int reused = fuzz_sequence(tiled_config(4), 42, 50, 0.05, true);
+  const int reused = fuzz_sequence(tiled_config(), 42, 50, 0.05, true);
   // Low churn on a 2x2 grid must actually reuse tiles, or the test proves
   // nothing about the retention path.
   EXPECT_GT(reused, 0);
 }
 
 TEST(IncrementalFuzz, HighChurnStaysExact) {
-  fuzz_sequence(tiled_config(4), 1337, 30, 0.5, true);
+  fuzz_sequence(tiled_config(), 1337, 30, 0.5, true);
 }
 
 TEST(IncrementalFuzz, ManyTilesWithStealing) {
-  DncConfig dnc = tiled_config(8);
-  dnc.processors = 8;
-  const int reused = fuzz_sequence(dnc, 99, 30, 0.03, false);
+  // A 4x4 grid and a budget of 8 participants sharing one chunk counter.
+  const int reused = fuzz_sequence(tiled_config(8), 99, 30, 0.03, false, 256);
   EXPECT_GT(reused, 0);
 }
 
-TEST(IncrementalFuzz, CostBalancedTilesFreezeDuringReuse) {
-  DncConfig dnc = tiled_config(4);
-  dnc.tile_strategy = core::TileStrategy::kCostBalanced;
-  fuzz_sequence(dnc, 7, 25, 0.05, true);
+TEST(TiledEngine, FullAndPlannedFramesMatchContiguousAndSerialBitwise) {
+  // Bent spots on a 3x3 grid (160x160): ribbons straddle tile edges, so
+  // composing a tile from the participants' partials has to get shared
+  // spots exactly right. Each frame, a tiled engine at 1 and at 4
+  // processors renders fully and through SynthesisCache, and all four must
+  // match the contiguous engine and SerialSynthesizer bit for bit.
+  SynthesisConfig sc = small_synthesis(160);
+  sc.kind = core::SpotKind::kBent;
+  sc.bent.mesh_cols = 8;
+  sc.bent.mesh_rows = 3;
+  sc.bent.length_px = 24.0;
+  const auto field = make_field();
+  util::Rng rng(808);
+  std::vector<SpotInstance> spots = random_spots(rng, 300);
+
+  DncConfig contiguous_cfg;
+  contiguous_cfg.processors = 4;
+  contiguous_cfg.pipes = 2;
+  DncSynthesizer contiguous(sc, contiguous_cfg);
+  core::SerialSynthesizer serial(sc);
+  struct Tiled {
+    std::unique_ptr<DncSynthesizer> full;
+    std::unique_ptr<DncSynthesizer> planned;
+    SynthesisCache cache;
+  };
+  std::vector<Tiled> tiled(2);
+  for (std::size_t i = 0; i < tiled.size(); ++i) {
+    const DncConfig dnc = tiled_config(i == 0 ? 1 : 4);
+    tiled[i].full = std::make_unique<DncSynthesizer>(sc, dnc);
+    tiled[i].planned = std::make_unique<DncSynthesizer>(sc, dnc);
+  }
+  std::int64_t reused = 0;
+  for (int frame = 0; frame < 6; ++frame) {
+    contiguous.synthesize(*field, spots);
+    serial.synthesize(*field, spots, 1);
+    ASSERT_EQ(contiguous.texture(), serial.texture()) << "frame " << frame;
+    for (std::size_t i = 0; i < tiled.size(); ++i) {
+      Tiled& t = tiled[i];
+      t.full->synthesize(*field, spots);
+      const SynthesisCache::Decision d = t.cache.plan(*t.planned, *field, spots);
+      reused += t.planned->synthesize(*field, spots, d.incremental ? &d.plan : nullptr)
+                    .tiles_reused;
+      t.cache.commit(*t.planned, *field, std::vector<SpotInstance>(spots));
+      EXPECT_EQ(t.full->texture(), serial.texture()) << "full, frame " << frame;
+      EXPECT_EQ(t.planned->texture(), serial.texture()) << "planned, frame " << frame;
+    }
+    // Stir the spots inside the swirl core only; the rest of the texture
+    // holds still and its tiles are retained.
+    for (auto& s : spots) {
+      const double dx = s.position.x - 1.0;
+      const double dy = s.position.y - 1.0;
+      if (dx * dx + dy * dy < 0.36) s.position = {1.0 - 0.9 * dy, 1.0 + 0.9 * dx};
+    }
+  }
+  EXPECT_GT(reused, 0) << "the planned engines never retained a tile";
 }
 
 // ------------------------------------- content-addressed cache + planning ---
@@ -295,26 +347,21 @@ CachedFuzzTotals cached_fuzz_sequence(DncConfig dnc, std::uint64_t seed,
 }
 
 TEST(CachedIncrementalFuzz, StackedWithPlanningMatchesUncachedOracle) {
-  // Roomy budget: nothing evicts, and invalidation-forced full frames must
-  // actually come back from the store.
+  // Roomy budget — 4 MiB holds every 16 KiB tile 40 frames can publish:
+  // nothing evicts, and invalidation-forced full frames must actually come
+  // back from the store.
   const CachedFuzzTotals totals =
-      cached_fuzz_sequence(tiled_config(4), 4242, 40, 0.04, 1u << 20);
+      cached_fuzz_sequence(tiled_config(), 4242, 40, 0.04, 4u << 20);
   EXPECT_GT(totals.hits, 0) << "the store never served a tile";
   EXPECT_EQ(totals.evictions, 0);
 }
 
 TEST(CachedIncrementalFuzz, MidRunEvictionsStayBitInvisible) {
-  // Two 32x32 tiles' worth of budget for a 4-tile frame: publishes evict
+  // Two 64x64 tiles' worth of budget for a 4-tile frame: publishes evict
   // mid-sequence every frame, so probes race real churn. Still exact.
   const CachedFuzzTotals totals = cached_fuzz_sequence(
-      tiled_config(4), 777, 30, 0.04, 2u * 32u * 32u * sizeof(float));
+      tiled_config(), 777, 30, 0.04, 2u * 64u * 64u * sizeof(float));
   EXPECT_GT(totals.evictions, 0) << "budget did not actually thrash";
-}
-
-TEST(CachedIncrementalFuzz, CostBalancedStrategyStaysExact) {
-  DncConfig dnc = tiled_config(4);
-  dnc.tile_strategy = core::TileStrategy::kCostBalanced;
-  cached_fuzz_sequence(dnc, 31337, 25, 0.05, 1u << 20);
 }
 
 // --------------------------------------------------- cache invalidation ---
@@ -322,7 +369,7 @@ TEST(CachedIncrementalFuzz, CostBalancedStrategyStaysExact) {
 TEST(SynthesisCache, FullFrameOnFirstUseAndAfterInvalidate) {
   const SynthesisConfig sc = small_synthesis();
   const auto field = make_field();
-  DncSynthesizer engine(sc, tiled_config(4));
+  DncSynthesizer engine(sc, tiled_config());
   SynthesisCache cache;
   util::Rng rng(5);
   const auto spots = random_spots(rng, sc.spot_count);
@@ -339,7 +386,7 @@ TEST(SynthesisCache, FullFrameOnFirstUseAndAfterInvalidate) {
 TEST(SynthesisCache, UncommittedEngineFrameInvalidates) {
   const SynthesisConfig sc = small_synthesis();
   const auto field = make_field();
-  DncSynthesizer engine(sc, tiled_config(4));
+  DncSynthesizer engine(sc, tiled_config());
   SynthesisCache cache;
   util::Rng rng(5);
   const auto spots = random_spots(rng, sc.spot_count);
@@ -355,7 +402,7 @@ TEST(SynthesisCache, UncommittedEngineFrameInvalidates) {
 TEST(SynthesisCache, FieldChangeInvalidates) {
   const SynthesisConfig sc = small_synthesis();
   const auto field = make_field();
-  DncSynthesizer engine(sc, tiled_config(4));
+  DncSynthesizer engine(sc, tiled_config());
   SynthesisCache cache;
   util::Rng rng(5);
   const auto spots = random_spots(rng, sc.spot_count);
@@ -386,7 +433,7 @@ TEST(SynthesisCache, InPlaceFieldMutationInvalidates) {
       },
       kDomain, 0.6);
 
-  DncSynthesizer engine(sc, tiled_config(4));
+  DncSynthesizer engine(sc, tiled_config());
   SynthesisCache cache;
   util::Rng rng(5);
   const auto spots = random_spots(rng, sc.spot_count);
@@ -405,6 +452,7 @@ TEST(SynthesisCache, NonTiledEngineAlwaysFull) {
   const SynthesisConfig sc = small_synthesis();
   const auto field = make_field();
   DncConfig dnc = tiled_config(2);
+  dnc.pipes = 2;
   dnc.tiled = false;
   DncSynthesizer engine(sc, dnc);
   SynthesisCache cache;
@@ -420,6 +468,7 @@ TEST(SynthesisCache, PlanOnNonTiledEngineRejectedByEngine) {
   const SynthesisConfig sc = small_synthesis();
   const auto field = make_field();
   DncConfig dnc = tiled_config(2);
+  dnc.pipes = 2;
   dnc.tiled = false;
   DncSynthesizer engine(sc, dnc);
   util::Rng rng(5);
@@ -429,45 +478,41 @@ TEST(SynthesisCache, PlanOnNonTiledEngineRejectedByEngine) {
   EXPECT_THROW((void)engine.synthesize(*field, spots, &plan), util::Error);
 }
 
-TEST(SynthesisCache, CostBalancedGridRebalancesPeriodically) {
-  // Planned frames freeze a kCostBalanced grid; the rebalance budget must
-  // force one full frame per interval so the kd-cut can follow the
-  // population — and incremental planning must resume right after.
+TEST(SynthesisCache, OtherEngineInvalidates) {
+  // The snapshot describes one engine's retained texture: planning for a
+  // second engine — even one at the same frame serial — must not reuse it.
   const SynthesisConfig sc = small_synthesis();
   const auto field = make_field();
-  DncConfig dnc = tiled_config(4);
-  dnc.tile_strategy = core::TileStrategy::kCostBalanced;
-  DncSynthesizer engine(sc, dnc);
+  DncSynthesizer engine(sc, tiled_config());
+  DncSynthesizer other(sc, tiled_config());
   SynthesisCache cache;
-  cache.rebalance_interval = 3;
+  util::Rng rng(5);
+  const auto spots = random_spots(rng, sc.spot_count);
+  engine.synthesize(*field, spots);
+  other.synthesize(*field, spots);
+  ASSERT_EQ(engine.frame_serial(), other.frame_serial());
+  cache.commit(engine, *field, std::vector<SpotInstance>(spots));
+  EXPECT_FALSE(cache.plan(other, *field, spots).incremental);
+}
+
+TEST(SynthesisCache, PlannedFramesNeverForceAFullFrame) {
+  // The render grid is fixed, so a valid snapshot stays plannable for as
+  // long as the session runs.
+  const SynthesisConfig sc = small_synthesis();
+  const auto field = make_field();
+  DncSynthesizer engine(sc, tiled_config());
+  SynthesisCache cache;
   util::Rng rng(21);
   const auto spots = random_spots(rng, sc.spot_count);
-
   engine.synthesize(*field, spots);
   cache.commit(engine, *field, std::vector<SpotInstance>(spots));
-
-  std::vector<bool> planned;
-  for (int frame = 0; frame < 8; ++frame) {
+  for (int frame = 0; frame < 70; ++frame) {
     const SynthesisCache::Decision d = cache.plan(engine, *field, spots);
-    planned.push_back(d.incremental);
-    engine.synthesize(*field, spots, d.incremental ? &d.plan : nullptr);
+    ASSERT_TRUE(d.incremental) << "frame " << frame;
+    EXPECT_EQ(d.plan.dirty_count(), 0);
+    const core::FrameStats stats = engine.synthesize(*field, spots, &d.plan);
+    EXPECT_EQ(stats.spots_submitted, 0);
     cache.commit(engine, *field, std::vector<SpotInstance>(spots));
-  }
-  // Streak of 3 planned frames, then one forced full, repeating.
-  EXPECT_EQ(planned, (std::vector<bool>{true, true, true, false, true, true,
-                                        true, false}));
-
-  // A kGrid engine never pays the refresh: its layout is static.
-  DncSynthesizer grid_engine(sc, tiled_config(4));
-  SynthesisCache grid_cache;
-  grid_cache.rebalance_interval = 2;
-  grid_engine.synthesize(*field, spots);
-  grid_cache.commit(grid_engine, *field, std::vector<SpotInstance>(spots));
-  for (int frame = 0; frame < 6; ++frame) {
-    const SynthesisCache::Decision d = grid_cache.plan(grid_engine, *field, spots);
-    EXPECT_TRUE(d.incremental) << "frame " << frame;
-    grid_engine.synthesize(*field, spots, &d.plan);
-    grid_cache.commit(grid_engine, *field, std::vector<SpotInstance>(spots));
   }
 }
 
@@ -477,7 +522,7 @@ TEST(IncrementalStats, PeakPixelMagnitudeStaysInsideLatticeBudget) {
   // standard population must sit far below the bound.
   const SynthesisConfig sc = small_synthesis();
   const auto field = make_field();
-  DncSynthesizer engine(sc, tiled_config(4));
+  DncSynthesizer engine(sc, tiled_config());
   util::Rng rng(31);
   const auto spots = random_spots(rng, sc.spot_count);
   const core::FrameStats stats = engine.synthesize(*field, spots);
@@ -491,11 +536,11 @@ TEST(IncrementalStats, PeakPixelMagnitudeStaysInsideLatticeBudget) {
 TEST(IncrementalStats, ReuseIsAccountedAndRetentionSkipsWork) {
   const SynthesisConfig sc = small_synthesis();
   const auto field = make_field();
-  DncSynthesizer engine(sc, tiled_config(4));
+  DncSynthesizer engine(sc, tiled_config());
   SynthesisCache cache;
   util::Rng rng(11);
   std::vector<SpotInstance> spots = random_spots(rng, sc.spot_count);
-  // Pin spot 0 to the interior of the top-left 32x32 tile — pixel (16, 16),
+  // Pin spot 0 to the interior of the top-left 64x64 tile — pixel (32, 32),
   // far enough from every boundary that its conservative extent stays
   // inside one tile.
   spots[0].position = {1.0, 3.0};
@@ -512,10 +557,10 @@ TEST(IncrementalStats, ReuseIsAccountedAndRetentionSkipsWork) {
       engine.synthesize(*field, spots, &d.plan);
   EXPECT_EQ(stats.tiles_reused, 3);
   EXPECT_GT(stats.spots_skipped, 0);
-  // Only the dirty tile crossed the bus.
-  EXPECT_EQ(stats.readback_bytes, 32u * 32u * sizeof(float));
+  // Only the dirty tile was composed.
+  EXPECT_EQ(stats.readback_bytes, 64u * 64u * sizeof(float));
   // And the result still matches a from-scratch engine exactly.
-  DncSynthesizer oracle(sc, tiled_config(4));
+  DncSynthesizer oracle(sc, tiled_config());
   oracle.synthesize(*field, spots);
   EXPECT_EQ(oracle.texture(), engine.texture());
 }
@@ -527,7 +572,7 @@ TEST(IncrementalAnimator, MatchesFullAnimatorBitwise) {
   const auto field = make_field();
 
   auto run = [&](bool incremental) {
-    DncSynthesizer engine(sc, tiled_config(4));
+    DncSynthesizer engine(sc, tiled_config());
     particles::ParticleSystemConfig pc;
     pc.count = sc.spot_count;
     pc.mean_lifetime = 100.0;  // few respawns across the run
@@ -561,6 +606,7 @@ TEST(IncrementalAnimator, RequiresTiledEngine) {
   const SynthesisConfig sc = small_synthesis();
   const auto field = make_field();
   DncConfig dnc = tiled_config(2);
+  dnc.pipes = 2;
   dnc.tiled = false;
   DncSynthesizer engine(sc, dnc);
   particles::ParticleSystemConfig pc;

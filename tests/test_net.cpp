@@ -21,8 +21,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dnc_synthesizer.hpp"
@@ -217,6 +219,60 @@ TEST(NetProtocol, OpenSessionRoundTripsConfigs) {
   // Truncating any suffix must throw, never mis-decode.
   WireReader tr(std::span(payload.data(), payload.size() - 3));
   EXPECT_THROW((void)net::OpenSessionMsg::decode(tr), ProtocolError);
+}
+
+TEST(NetProtocol, OpenSessionRejectsConfigsBeyondTheServerBounds) {
+  // A client describes a workload; the server owns the threads, buffers and
+  // busy-spins that serve it. Every case below would make a server start
+  // 2^20 threads, size a 2^40-pixel texture or spin for 31 years per state
+  // change if it were obeyed, so decode must refuse it before any session
+  // exists. Only codec calls here: no server, no engine, no thread starts.
+  auto decode = [](const net::OpenSessionMsg& msg) {
+    const auto payload = msg.encode();
+    WireReader r(payload);
+    return net::OpenSessionMsg::decode(r);
+  };
+  net::OpenSessionMsg good;
+  good.field = vortex_spec();
+  good.synthesis = small_config();
+  good.dnc = small_dnc();
+  EXPECT_NO_THROW((void)decode(good));
+  net::OpenSessionMsg edge = good;  // the bounds themselves are accepted
+  edge.dnc.processors = net::kMaxProcessors;
+  edge.dnc.pipes = net::kMaxPipes;
+  edge.synthesis.texture_width = net::kMaxTextureSide;
+  edge.dnc.state_change_seconds = net::kMaxStateChangeSeconds;
+  EXPECT_NO_THROW((void)decode(edge));
+
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  using Msg = net::OpenSessionMsg;
+  const std::vector<std::pair<const char*, std::function<void(Msg&)>>> cases{
+      {"processors 1<<20", [](Msg& m) { m.dnc.processors = 1 << 20; }},
+      {"pipes 1<<20", [](Msg& m) { m.dnc.pipes = 1 << 20; }},
+      {"texture width 1<<20", [](Msg& m) { m.synthesis.texture_width = 1 << 20; }},
+      {"texture height 1<<20", [](Msg& m) { m.synthesis.texture_height = 1 << 20; }},
+      {"1e9 s state change", [](Msg& m) { m.dnc.state_change_seconds = 1e9; }},
+      {"NaN state change", [](Msg& m) { m.dnc.state_change_seconds = kNaN; }},
+      {"NaN raster cost", [](Msg& m) { m.dnc.raster_cost_multiplier = kNaN; }},
+      {"NaN spot radius", [](Msg& m) { m.synthesis.spot_radius_px = kNaN; }},
+      {"NaN intensity scale", [](Msg& m) { m.synthesis.intensity_scale = kNaN; }},
+      {"NaN field parameter", [](Msg& m) { m.field.a = kNaN; }},
+      {"infinite field domain", [](Msg& m) { m.field.domain.x1 = kInf; }},
+      {"NaN window", [](Msg& m) { m.synthesis.window = field::Rect{0.0, 0.0, kNaN, 1.0}; }},
+      {"infinite bus", [](Msg& m) { m.dnc.bus_bytes_per_second = kInf; }},
+      {"zero processors", [](Msg& m) { m.dnc.processors = 0; }},
+      {"negative pipes", [](Msg& m) { m.dnc.pipes = -1; }},
+      {"raster cost below one", [](Msg& m) { m.dnc.raster_cost_multiplier = 0.5; }},
+      {"huge chunk", [](Msg& m) { m.dnc.chunk_spots = std::int64_t{1} << 40; }},
+      {"huge mesh", [](Msg& m) { m.synthesis.bent.mesh_cols = 1 << 20; }},
+      {"huge trace substeps", [](Msg& m) { m.synthesis.bent.trace_substeps = 1 << 20; }},
+  };
+  for (const auto& [name, mutate] : cases) {
+    net::OpenSessionMsg msg = good;
+    mutate(msg);
+    EXPECT_THROW((void)decode(msg), ProtocolError) << name;
+  }
 }
 
 TEST(NetProtocol, SubmitRoundTripsSpotsBitExact) {

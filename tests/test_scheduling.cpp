@@ -1,8 +1,9 @@
 // Tests for the load-balanced scheduler: StealableWorkCounter semantics,
 // cross-group work-stealing equivalence against the serial baseline,
-// cost-balanced (kd-cut) tiling, worker-exception propagation, the
-// Runtime::parallel data-parallel primitive, and the raster/tiling bound
-// fixes that rode along with the scheduler PR.
+// worker-exception propagation, the Runtime::parallel data-parallel
+// primitive, the raster/tiling bound fixes that rode along with the
+// scheduler PR, and the row-grid tile index checked against a brute-force
+// scan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,11 +12,14 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/dnc_synthesizer.hpp"
+#include "core/frame_delta.hpp"
 #include "core/runtime.hpp"
 #include "core/serial_synthesizer.hpp"
 #include "core/spot_source.hpp"
@@ -186,7 +190,6 @@ TEST(Scheduling, StealingMatchesSerialAcrossModesAndPipeCounts) {
         dnc.pipes = pipes;
         dnc.tiled = tiled;
         dnc.steal = true;
-        dnc.tile_strategy = core::TileStrategy::kCostBalanced;
         core::DncSynthesizer engine(config, dnc);
         engine.synthesize(*f, spots);
         EXPECT_LT(max_abs_difference(serial.texture(), engine.texture()),
@@ -196,33 +199,6 @@ TEST(Scheduling, StealingMatchesSerialAcrossModesAndPipeCounts) {
       }
     }
   }
-}
-
-TEST(Scheduling, ThievesDrainTheLoadedGroup) {
-  // Grid tiling + clustered spots: one region holds nearly all the work, so
-  // the other groups' masters drain instantly and must steal.
-  auto config = small_config();
-  config.spot_count = 2000;
-  const Rect domain{0, 0, 2, 2};
-  const auto f = field::analytic::taylor_green(1.0, domain);
-  const auto spots = clustered_spots(config, domain);
-  core::DncConfig dnc;
-  dnc.processors = 4;
-  dnc.pipes = 4;
-  dnc.tiled = true;
-  dnc.tile_strategy = core::TileStrategy::kGrid;
-  core::DncSynthesizer engine(config, dnc);
-  std::int64_t stolen = 0;
-  double imbalance = 0.0;
-  for (int frame = 0; frame < 3; ++frame) {
-    const auto stats = engine.synthesize(*f, spots);
-    stolen += stats.stolen_chunks;
-    imbalance = std::max(imbalance, stats.imbalance);
-    EXPECT_GE(stats.stolen_spots, stats.stolen_chunks);
-    EXPECT_GE(stats.steal_seconds, 0.0);
-  }
-  EXPECT_GT(imbalance, 1.5) << "the workload no longer stresses the partition";
-  EXPECT_GT(stolen, 0) << "idle groups never stole from the loaded one";
 }
 
 TEST(Scheduling, ContiguousStealingConservesGeometry) {
@@ -308,6 +284,65 @@ TEST(Scheduling, WorkerExceptionRethrownOnCallerAndEngineStaysUsable) {
               1e-4 * sigma + 1e-6)
         << (tiled ? "tiled" : "contiguous");
   }
+}
+
+TEST(TiledEngine, ThrowingFieldReturnsEveryPartialAndTheNextFrameRenders) {
+  // Tiled participants rasterize into pooled full-texture partials; a
+  // participant whose field throws mid-chunk must hand its partial back,
+  // and so must every participant that finished before the failure
+  // surfaced. Processors 1 runs the frame inline on the caller, 4 spreads
+  // it over the pool.
+  const auto config = small_config();
+  const Rect domain{0, 0, 2, 2};
+  const auto good = field::analytic::taylor_green(1.0, domain);
+  const auto bad = faulty_field(domain);
+  util::Rng rng(config.seed);
+  const auto spots = core::make_random_spots(domain, config.spot_count, rng);
+  core::SerialSynthesizer serial(config);
+  serial.synthesize(*good, spots);
+
+  for (const int processors : {1, 4}) {
+    core::Runtime runtime({.workers = 3});
+    core::DncConfig dnc;
+    dnc.processors = processors;
+    dnc.chunk_spots = 16;
+    dnc.tiled = true;
+    core::DncSynthesizer engine(config, dnc, runtime);
+    const std::int64_t outstanding = runtime.framebuffers().outstanding_count();
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      EXPECT_THROW(engine.synthesize(*bad, spots), util::Error)
+          << processors << " processors";
+      EXPECT_EQ(runtime.framebuffers().outstanding_count(), outstanding)
+          << processors << " processors: a partial leaked";
+    }
+    engine.synthesize(*good, spots);
+    EXPECT_EQ(engine.texture(), serial.texture()) << processors << " processors";
+    EXPECT_EQ(runtime.framebuffers().outstanding_count(), outstanding);
+  }
+}
+
+TEST(TiledEngine, AcquiresNoPipe) {
+  // Tiled mode renders on the runtime pool: `pipes` does not start or
+  // borrow a single pipe server thread, whatever it says.
+  const auto config = small_config();
+  const Rect domain{0, 0, 2, 2};
+  const auto f = field::analytic::taylor_green(1.0, domain);
+  util::Rng rng(config.seed);
+  const auto spots = core::make_random_spots(domain, config.spot_count, rng);
+  core::Runtime runtime({.workers = 2});
+  const std::int64_t created = runtime.pipes_created();
+  const std::int64_t reused = runtime.pipes_reused();
+  {
+    core::DncConfig dnc;
+    dnc.processors = 4;
+    dnc.pipes = 4;
+    dnc.tiled = true;
+    core::DncSynthesizer engine(config, dnc, runtime);
+    for (int frame = 0; frame < 3; ++frame) (void)engine.synthesize(*f, spots);
+    EXPECT_THROW((void)engine.pipe_stats(0), util::Error);
+  }
+  EXPECT_EQ(runtime.pipes_created(), created);
+  EXPECT_EQ(runtime.pipes_reused(), reused);
 }
 
 // ------------------------------------------------ Runtime::parallel primitive ---
@@ -526,103 +561,184 @@ TEST(TileGrid, RejectsMoreTilesThanTheTextureCanHost) {
   }
 }
 
-TEST(TileGrid, DncSynthesizerSurfacesTheTileLimitUpFront) {
-  auto config = small_config();
-  config.texture_width = 4;
-  config.texture_height = 2;
-  core::DncConfig dnc;
-  dnc.processors = 8;
-  dnc.pipes = 8;
-  dnc.tiled = true;
-  EXPECT_THROW(core::DncSynthesizer(config, dnc), util::Error);
-}
-
-// ------------------------------------------------------- cost-balanced tiles ---
-
-TEST(BalancedTiles, PartitionTheTextureExactly) {
-  const render::WorldToImage mapping({0, 0, 1, 1}, 96, 64);
-  util::Rng rng(11);
-  std::vector<core::SpotInstance> spots(300);
-  for (auto& spot : spots)
-    spot.position = {rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
-  for (const int count : {1, 2, 3, 4, 7}) {
-    const auto tiles = core::make_balanced_tiles(96, 64, count, spots, mapping);
-    ASSERT_EQ(tiles.size(), static_cast<std::size_t>(count));
-    std::vector<int> cover(96 * 64, 0);
-    for (const auto& tile : tiles) {
-      EXPECT_GT(tile.width, 0);
-      EXPECT_GT(tile.height, 0);
+TEST(TileGrid, RenderGridIsFixedSquaresCoveringTheTexture) {
+  for (const auto& [w, h] : {std::pair{512, 512}, std::pair{96, 80}, std::pair{64, 64},
+                             std::pair{1, 1}, std::pair{200, 130}}) {
+    const auto tiles = core::make_render_grid(w, h);
+    const int cols = (w + core::kRenderTileEdge - 1) / core::kRenderTileEdge;
+    const int rows = (h + core::kRenderTileEdge - 1) / core::kRenderTileEdge;
+    ASSERT_EQ(std::ssize(tiles), static_cast<std::ptrdiff_t>(cols) * rows)
+        << w << "x" << h;
+    std::vector<int> cover(static_cast<std::size_t>(w) * static_cast<std::size_t>(h), 0);
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+      const core::Tile& tile = tiles[t];
+      // Row-major squares of the fixed edge; only the last column and row
+      // take the remainder.
+      EXPECT_EQ(tile.x0, static_cast<int>(t) % cols * core::kRenderTileEdge);
+      EXPECT_EQ(tile.y0, static_cast<int>(t) / cols * core::kRenderTileEdge);
+      EXPECT_EQ(tile.width, std::min(core::kRenderTileEdge, w - tile.x0));
+      EXPECT_EQ(tile.height, std::min(core::kRenderTileEdge, h - tile.y0));
       for (int y = tile.y0; y < tile.y0 + tile.height; ++y)
-        for (int x = tile.x0; x < tile.x0 + tile.width; ++x) ++cover[y * 96 + x];
+        for (int x = tile.x0; x < tile.x0 + tile.width; ++x)
+          ++cover[static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
+                  static_cast<std::size_t>(x)];
     }
-    for (std::size_t p = 0; p < cover.size(); ++p)
-      ASSERT_EQ(cover[p], 1) << "pixel " << p << " covered " << cover[p]
-                             << " times with " << count << " tiles";
+    for (const int c : cover) ASSERT_EQ(c, 1) << w << "x" << h;
   }
+  EXPECT_THROW((void)core::make_render_grid(0, 64), util::Error);
 }
 
-TEST(BalancedTiles, KdCutBalancesAClusteredDistribution) {
-  const int width = 128, height = 128;
-  const render::WorldToImage mapping({0, 0, 2, 2}, width, height);
-  auto config = small_config();
-  config.spot_count = 2000;
-  const auto spots = clustered_spots(config, {0, 0, 2, 2});
+// ---------------------------------------------------------- tile index ---
 
-  auto count_per_tile = [&](const std::vector<core::Tile>& tiles) {
-    std::vector<std::int64_t> counts(tiles.size(), 0);
-    for (const auto& spot : spots) {
-      const auto [px, py] = mapping.map(spot.position);
-      for (std::size_t t = 0; t < tiles.size(); ++t) {
-        const auto& tile = tiles[t];
-        if (px >= tile.x0 && px < tile.x0 + tile.width && py >= tile.y0 &&
-            py < tile.y0 + tile.height) {
-          ++counts[t];
-          break;
-        }
+// The predicate the index must reproduce, written out the slow way: every
+// tile, both axes, half-open rects.
+bool overlaps(double px, double py, double extent, const core::Tile& tile) {
+  const double lo_x = px - extent;
+  const double hi_x = px + extent;
+  const double lo_y = py - extent;
+  const double hi_y = py + extent;
+  return !(hi_x < tile.x0 || lo_x >= tile.x0 + tile.width) &&
+         !(hi_y < tile.y0 || lo_y >= tile.y0 + tile.height);
+}
+
+// Pixel-space spot centers that stress the index: uniform, on tile edges
+// (the extent exactly touching or reaching an edge), far outside the
+// texture, and NaN or infinite in either coordinate.
+std::vector<std::pair<double, double>> stress_pixels(const std::vector<core::Tile>& tiles,
+                                                     int w, int h, double extent,
+                                                     util::Rng& rng) {
+  std::vector<int> xs{0, w};
+  std::vector<int> ys{0, h};
+  for (const core::Tile& t : tiles) {
+    xs.push_back(t.x0);
+    ys.push_back(t.y0);
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<double, double>> out;
+  for (int k = 0; k < 400; ++k) {
+    const double u = std::floor(rng.uniform(-2.0 * extent - 8, w + 2.0 * extent + 8));
+    const double v = std::floor(rng.uniform(-2.0 * extent - 8, h + 2.0 * extent + 8));
+    out.emplace_back(u, v);
+    out.emplace_back(u + 0.5, v + 0.5);
+    const int ex = xs[static_cast<std::size_t>(rng.uniform() * static_cast<double>(xs.size()))];
+    const int ey = ys[static_cast<std::size_t>(rng.uniform() * static_cast<double>(ys.size()))];
+    for (const double dx : {-extent, 0.0, extent}) {
+      for (const double dy : {-extent, 0.0, extent}) out.emplace_back(ex + dx, ey + dy);
+    }
+  }
+  for (const double bad : {nan, inf, -inf, 1e300, -1e300}) {
+    out.emplace_back(bad, h / 2.0);
+    out.emplace_back(w / 2.0, bad);
+    out.emplace_back(bad, bad);
+  }
+  return out;
+}
+
+TEST(TileIndex, IndexedLookupsMatchABruteForceScan) {
+  struct Grid {
+    int w;
+    int h;
+    std::vector<core::Tile> tiles;
+  };
+  const std::vector<Grid> grids{
+      {128, 128, core::make_tile_grid(128, 128, 1)},
+      {512, 512, core::make_tile_grid(512, 512, 96)},  // the wire grid
+      {512, 512, core::make_render_grid(512, 512)},
+      {200, 130, core::make_render_grid(200, 130)},
+      {97, 101, core::make_tile_grid(97, 101, 5)},
+      // A hand-cut row grid whose first row and column are the widest, so
+      // the index's first guess undershoots and must step forward.
+      {96, 96, {{0, 0, 40, 30}, {40, 0, 8, 30}, {48, 0, 8, 30}, {56, 0, 24, 30},
+                {80, 0, 16, 30}, {0, 30, 90, 5}, {90, 30, 6, 5}, {0, 35, 8, 45},
+                {8, 35, 8, 45}, {16, 35, 80, 45}, {0, 80, 96, 16}}},
+  };
+  util::Rng rng(1234);
+  for (const Grid& grid : grids) {
+    // An image-space identity (y flipped): world (x, h - y) maps to pixel
+    // (x, y) exactly for the integer and half-integer centers used here.
+    const render::WorldToImage mapping({0, 0, static_cast<double>(grid.w),
+                                        static_cast<double>(grid.h)},
+                                       grid.w, grid.h);
+    for (const double extent : {0.0, 4.0, 16.5, 70.0}) {
+      const auto pixels = stress_pixels(grid.tiles, grid.w, grid.h, extent, rng);
+      std::vector<core::SpotInstance> spots;
+      for (const auto& [px, py] : pixels) {
+        spots.push_back({{px, grid.h - py}, 0.5});
       }
-    }
-    return counts;
-  };
-  auto imbalance = [](const std::vector<std::int64_t>& counts) {
-    std::int64_t total = 0, worst = 0;
-    for (const std::int64_t c : counts) {
-      total += c;
-      worst = std::max(worst, c);
-    }
-    return static_cast<double>(worst) * static_cast<double>(counts.size()) /
-           static_cast<double>(total);
-  };
+      SCOPED_TRACE(std::to_string(grid.tiles.size()) + " tiles on " +
+                   std::to_string(grid.w) + "x" + std::to_string(grid.h) +
+                   ", extent " + std::to_string(extent));
 
-  const auto grid = count_per_tile(core::make_tile_grid(width, height, 4));
-  const auto kd =
-      count_per_tile(core::make_balanced_tiles(width, height, 4, spots, mapping));
-  EXPECT_GT(imbalance(grid), 1.8) << "the cluster no longer stresses the grid";
-  EXPECT_LT(imbalance(kd), 1.4);
-  EXPECT_LT(imbalance(kd), imbalance(grid));
+      const auto assignment =
+          core::assign_spots_to_tiles(spots, mapping, extent, grid.tiles);
+      std::int64_t entries = 0;
+      for (std::size_t t = 0; t < grid.tiles.size(); ++t) {
+        std::vector<std::int64_t> expected;
+        for (std::size_t k = 0; k < spots.size(); ++k) {
+          const auto [px, py] = mapping.map(spots[k].position);
+          if (overlaps(px, py, extent, grid.tiles[t])) {
+            expected.push_back(static_cast<std::int64_t>(k));
+          }
+        }
+        entries += std::ssize(expected);
+        ASSERT_EQ(assignment.per_tile[t], expected) << "tile " << t;
+      }
+      EXPECT_EQ(assignment.duplicates, entries - std::ssize(spots));
+
+      // dirty_tiles: the first half moves to the second half's positions,
+      // and the populations differ in length (births and deaths).
+      const std::size_t half = spots.size() / 2;
+      const std::vector<core::SpotInstance> prev(spots.begin(), spots.begin() + half);
+      std::vector<core::SpotInstance> cur(spots.begin() + half, spots.end());
+      for (std::size_t k = 0; k < cur.size(); k += 3) cur[k] = prev[k % prev.size()];
+      const core::FrameDelta delta = core::diff_spots(prev, cur);
+      const auto dirty =
+          core::dirty_tiles(delta, prev, cur, mapping, extent, grid.tiles);
+      std::vector<std::uint8_t> expected(grid.tiles.size(), 0);
+      auto mark = [&](const core::SpotInstance& spot) {
+        const auto [px, py] = mapping.map(spot.position);
+        for (std::size_t t = 0; t < grid.tiles.size(); ++t) {
+          if (overlaps(px, py, extent, grid.tiles[t])) expected[t] = 1;
+        }
+      };
+      for (const std::int64_t k : delta.changed) {
+        mark(prev[static_cast<std::size_t>(k)]);
+        mark(cur[static_cast<std::size_t>(k)]);
+      }
+      for (std::size_t k = std::min(prev.size(), cur.size()); k < cur.size(); ++k) {
+        mark(cur[k]);
+      }
+      for (std::size_t k = std::min(prev.size(), cur.size()); k < prev.size(); ++k) {
+        mark(prev[k]);
+      }
+      EXPECT_EQ(dirty, expected);
+    }
+  }
 }
 
-TEST(BalancedTiles, HonorsPerSpotCostWeights) {
-  // Two spot camps with equal counts, but the left camp is 9x as expensive:
-  // the uniform-cost cut lands near the middle, the weighted cut shifts left
-  // so each side carries similar cost.
-  const int width = 100, height = 10;
-  const render::WorldToImage mapping({0, 0, 100, 10}, width, height);
-  std::vector<core::SpotInstance> spots(200);
-  std::vector<double> costs(200);
-  util::Rng rng(3);
-  for (std::size_t k = 0; k < spots.size(); ++k) {
-    const bool left = k < 100;
-    spots[k].position = {left ? rng.uniform(10.0, 30.0) : rng.uniform(70.0, 90.0),
-                         rng.uniform(0.0, 10.0)};
-    costs[k] = left ? 9.0 : 1.0;
+TEST(TileIndex, RejectsASpanThatIsNotARowGrid) {
+  const render::WorldToImage mapping({0, 0, 128, 128}, 128, 128);
+  const std::vector<core::SpotInstance> spots{{{64.0, 64.0}, 0.5}};
+  const std::vector<std::vector<core::Tile>> bad{
+      {{64, 0, 64, 128}, {0, 0, 64, 128}},                    // unsorted row
+      {{0, 0, 64, 64}, {64, 0, 64, 32}},                      // uneven row height
+      {{0, 0, 64, 64}, {70, 0, 58, 64}},                      // gap in a row
+      {{0, 0, 128, 64}, {0, 64, 64, 64}},                     // ragged right edge
+      {{0, 0, 128, 64}, {0, 70, 128, 58}},                    // gap between rows
+      {{0, 0, 64, 64}, {64, 0, 64, 64}, {0, 64, 128, 64}, {0, 0, 128, 128}},
+      {{0, 0, 0, 64}},                                        // empty tile
+  };
+  for (const auto& tiles : bad) {
+    EXPECT_THROW((void)core::assign_spots_to_tiles(spots, mapping, 2.0, tiles),
+                 util::Error);
+    const core::FrameDelta delta = core::diff_spots(spots, spots);
+    EXPECT_THROW((void)core::dirty_tiles(delta, spots, spots, mapping, 2.0, tiles),
+                 util::Error);
   }
-  const auto even = core::make_balanced_tiles(width, height, 2, spots, mapping);
-  const auto weighted =
-      core::make_balanced_tiles(width, height, 2, spots, mapping, costs);
-  ASSERT_EQ(even.size(), 2u);
-  ASSERT_EQ(weighted.size(), 2u);
-  EXPECT_LT(weighted[0].width, even[0].width)
-      << "the weighted cut should move toward the expensive camp";
+  // Row grids whose origin is not the texture's are still row grids.
+  const std::vector<core::Tile> offset{{10, 20, 30, 40}, {40, 20, 5, 40}};
+  EXPECT_NO_THROW((void)core::assign_spots_to_tiles(spots, mapping, 2.0, offset));
 }
 
 }  // namespace

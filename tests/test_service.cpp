@@ -108,7 +108,6 @@ TEST(SynthesisService, ConcurrentSessionsMatchSerialHashesBitwise) {
     spots.push_back(test_spots(config, domain));
     core::DncConfig dnc = small_dnc();
     dnc.tiled = s == 2;
-    dnc.pipes = s == 2 ? 2 : 1;
     dnc.processors = 2;
     core::DncSynthesizer solo(config, dnc);
     solo.synthesize(*f, spots.back());
@@ -120,7 +119,6 @@ TEST(SynthesisService, ConcurrentSessionsMatchSerialHashesBitwise) {
   for (int s = 0; s < kSessions; ++s) {
     core::DncConfig dnc = small_dnc();
     dnc.tiled = s == 2;
-    dnc.pipes = s == 2 ? 2 : 1;
     ids.push_back(service.open_session(configs[static_cast<std::size_t>(s)], dnc));
   }
   std::vector<SynthesisService::JobTicket> tickets;
@@ -642,7 +640,6 @@ TEST(SynthesisService, SecondSessionOnSameDatasetHitsTheSharedTileStore) {
   const auto spots = test_spots(config, domain);
   core::DncConfig dnc = small_dnc();
   dnc.tiled = true;
-  dnc.pipes = 2;
   dnc.tile_cache = true;
 
   core::DncConfig uncached = dnc;
@@ -650,6 +647,7 @@ TEST(SynthesisService, SecondSessionOnSameDatasetHitsTheSharedTileStore) {
   core::DncSynthesizer solo(config, uncached);
   solo.synthesize(*f, spots);
   const std::uint64_t expected = solo.texture().content_hash();
+  const auto tiles = static_cast<std::int64_t>(solo.tiles().size());
 
   core::Runtime runtime({.workers = 2});
   SynthesisService service({.drivers = 2}, runtime);
@@ -665,13 +663,13 @@ TEST(SynthesisService, SecondSessionOnSameDatasetHitsTheSharedTileStore) {
   const core::SynthesisResult r1 = service.submit(first, request()).result.get();
   EXPECT_EQ(r1.content_hash, expected);
   EXPECT_EQ(r1.stats.cache_tile_hits, 0);
-  EXPECT_EQ(r1.stats.cache_tile_misses, dnc.pipes);
-  EXPECT_EQ(r1.stats.cache_tiles_published, dnc.pipes);
+  EXPECT_EQ(r1.stats.cache_tile_misses, tiles);
+  EXPECT_EQ(r1.stats.cache_tiles_published, tiles);
 
   const core::SynthesisResult r2 = service.submit(second, request()).result.get();
   EXPECT_EQ(r2.content_hash, expected)
       << "a store-served frame must be bit-identical to the solo render";
-  EXPECT_EQ(r2.stats.cache_tile_hits, dnc.pipes);
+  EXPECT_EQ(r2.stats.cache_tile_hits, tiles);
   EXPECT_EQ(r2.stats.spots_submitted, 0)
       << "the second session should not have rendered a single spot";
   EXPECT_EQ(r2.stats.cache_hit_bytes,
@@ -680,9 +678,9 @@ TEST(SynthesisService, SecondSessionOnSameDatasetHitsTheSharedTileStore) {
                 sizeof(float));
 
   const core::TileStore::Stats stats = service.tile_cache_stats();
-  EXPECT_EQ(stats.hits, dnc.pipes);
-  EXPECT_EQ(stats.inserts, dnc.pipes);
-  EXPECT_EQ(stats.entries, dnc.pipes);
+  EXPECT_EQ(stats.hits, tiles);
+  EXPECT_EQ(stats.inserts, tiles);
+  EXPECT_EQ(stats.entries, tiles);
   EXPECT_LE(stats.bytes, stats.budget_bytes);
 }
 
@@ -708,7 +706,6 @@ TEST(SynthesisService, FailedFrameNeverPublishesPartialTiles) {
   const auto spots = test_spots(config, domain);
   core::DncConfig dnc = small_dnc();
   dnc.tiled = true;
-  dnc.pipes = 2;
   dnc.tile_cache = true;
 
   core::Runtime runtime({.workers = 2});
@@ -737,8 +734,9 @@ TEST(SynthesisService, FailedFrameNeverPublishesPartialTiles) {
   EXPECT_EQ(service.submit(id, std::move(recover)).result.get().content_hash,
             solo.texture().content_hash());
   stats = service.tile_cache_stats();
-  EXPECT_EQ(stats.inserts, dnc.pipes);
-  EXPECT_EQ(stats.entries, dnc.pipes);
+  const auto tiles = static_cast<std::int64_t>(solo.tiles().size());
+  EXPECT_EQ(stats.inserts, tiles);
+  EXPECT_EQ(stats.entries, tiles);
 }
 
 // ----------------------------------------------------- device pools -------

@@ -362,8 +362,8 @@ TEST(TileStore, CachedEngineFrameIsBitIdenticalToFreshRasterization) {
   const field::Rect domain{0.0, 0.0, 4.0, 4.0};
   const auto field = field::analytic::rankine_vortex({2.0, 2.0}, 1.5, 1.0, domain);
   core::SynthesisConfig sc;
-  sc.texture_width = 64;
-  sc.texture_height = 64;
+  sc.texture_width = 128;  // a 2x2 render grid
+  sc.texture_height = 128;
   sc.spot_count = 200;
   sc.spot_radius_px = 5.0;
   sc.kind = core::SpotKind::kEllipse;
@@ -373,10 +373,10 @@ TEST(TileStore, CachedEngineFrameIsBitIdenticalToFreshRasterization) {
 
   core::DncConfig dnc;
   dnc.processors = 4;
-  dnc.pipes = 4;
   dnc.tiled = true;
   core::DncSynthesizer uncached(sc, dnc);
   uncached.synthesize(*field, spots);
+  ASSERT_EQ(uncached.tiles().size(), 4u);
 
   core::Runtime runtime({.workers = 2});
   dnc.tile_cache = true;
