@@ -1,43 +1,38 @@
-// Ablation for the load-balanced scheduler: static even-split partition vs.
-// cross-group work stealing, in contiguous mode.
+// Ablation for the paper model's load-balanced scheduler: static even-split
+// partition vs. cross-group work stealing (paper::PipeSynthesizer).
 //
 // The paper's eq. 3.2 assumes every process group carries the same work.
 // A clustered spot set breaks that assumption: the even *index* split hands
 // one group the expensive spots. This bench measures that failure mode on
 // the balance stress workload (see bench_common), then the uniform control
-// set where stealing must not cost anything. (Tiled mode has no groups to
-// balance: its participants share one chunk counter over the spots.)
+// set where stealing must not cost anything. (The served engine has no
+// groups to balance: its participants share one chunk counter.)
 //
 // The headline number is the *modeled* rate — the eq. 3.2 critical path over
 // per-thread CPU time (assign + max(genP, genT) critical path + gather). The
 // wall-clock rate is printed alongside, but on a host with fewer cores than
 // workers + pipes it serializes the groups and cannot show a balancing win;
 // the modeled rate is what a one-core-per-worker host would deliver.
+//
+// Each speedup is the median over interleaved repetitions: one static and
+// one stealing frame per repetition (alternating which runs first), one
+// static/steal ratio of modeled frame times each — so a repetition
+// disturbed by other load on the host cannot decide the gate alone.
 #include <algorithm>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/perf_model.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
-
-namespace {
-
-struct Row {
-  double static_rate = 0.0;
-  double balanced_rate = 0.0;
-  [[nodiscard]] double speedup() const {
-    return static_rate > 0.0 ? balanced_rate / static_rate : 0.0;
-  }
-};
-
-}  // namespace
+#include "util/stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace dcsn;
   const util::Args args(argc, argv);
-  const int frames = args.get_int("frames", 3);
+  const int repetitions = std::max(5, args.get_int("repetitions", 5));
   const int processors = args.get_int("processors", 4);
 
   util::CsvWriter csv(bench::csv_path(argc, argv, "ablation_balance.csv"),
@@ -59,27 +54,46 @@ int main(int argc, char** argv) {
                 "scheduler", "modeled/s", "wall/s", "speedup", "imbalance",
                 "stolen", "steal ms");
     for (const int pipes : {2, 4}) {
-      Row row;
-      for (const bool balanced : {false, true}) {
-        core::DncConfig dnc;
-        dnc.processors = processors;
-        dnc.pipes = pipes;
-        dnc.steal = balanced;
-        const bench::RateSample sample = bench::measure_rates(workload, dnc, frames);
-        (balanced ? row.balanced_rate : row.static_rate) = sample.modeled_rate;
-        char speedup_text[16] = "-";
-        if (balanced) {
-          std::snprintf(speedup_text, sizeof speedup_text, "%.2fx", row.speedup());
+      core::DncConfig dnc;
+      dnc.processors = processors;
+      dnc.pipes = pipes;
+      dnc.steal = false;
+      paper::PipeSynthesizer fixed(workload.synthesis, dnc);
+      dnc.steal = true;
+      paper::PipeSynthesizer stealing(workload.synthesis, dnc);
+      (void)fixed.synthesize(*workload.field, workload.spots);  // warm-up
+      (void)stealing.synthesize(*workload.field, workload.spots);
+      // Per scheduler: modeled and wall seconds per repetition, last stats.
+      struct Series {
+        std::vector<double> modeled, wall;
+        paper::PipeFrameStats stats;
+      } series[2];
+      std::vector<double> speedups;
+      for (int rep = 0; rep < repetitions; ++rep) {
+        for (int i = 0; i < 2; ++i) {
+          const int balanced = (i + rep) % 2;  // alternate which runs first
+          Series& out = series[balanced];
+          out.stats = (balanced ? stealing : fixed).synthesize(*workload.field, workload.spots);
+          out.modeled.push_back(out.stats.modeled_frame_seconds);
+          out.wall.push_back(out.stats.frame_seconds);
         }
+        speedups.push_back(series[0].modeled.back() / series[1].modeled.back());
+      }
+      const double speedup = util::percentile(speedups, 0.5);
+      for (const int balanced : {0, 1}) {
+        const Series& sample = series[balanced];
+        const double modeled_rate = 1.0 / util::percentile(sample.modeled, 0.5);
+        const double wall_rate = 1.0 / util::percentile(sample.wall, 0.5);
+        char speedup_text[16] = "-";
+        if (balanced) std::snprintf(speedup_text, sizeof speedup_text, "%.2fx", speedup);
         std::printf("%6d %11s %10s %11.2f %9.2f %11s %10.2f %8lld %9.2f\n", pipes,
-                    "contiguous", balanced ? "steal" : "static", sample.modeled_rate,
-                    sample.wall_rate, speedup_text, sample.stats.imbalance,
+                    "contiguous", balanced ? "steal" : "static", modeled_rate, wall_rate,
+                    speedup_text, sample.stats.imbalance,
                     static_cast<long long>(sample.stats.stolen_chunks),
                     sample.stats.steal_seconds * 1e3);
         csv.row({clustered ? "clustered" : "uniform", std::to_string(pipes),
                  "contiguous", balanced ? "steal" : "static",
-                 util::CsvWriter::num(sample.modeled_rate),
-                 util::CsvWriter::num(sample.wall_rate),
+                 util::CsvWriter::num(modeled_rate), util::CsvWriter::num(wall_rate),
                  util::CsvWriter::num(sample.stats.imbalance),
                  std::to_string(sample.stats.stolen_chunks),
                  util::CsvWriter::num(sample.stats.steal_seconds * 1e3),
@@ -88,12 +102,13 @@ int main(int argc, char** argv) {
         if (balanced) {
           // The calibrated per-spot cost, so the workload's weight is visible.
           const core::PerfModel model = core::PerfModel::calibrate(sample.stats, pipes);
-          std::printf("%42s per-spot cost estimate %.2f us\n", "",
-                      model.per_spot_seconds() * 1e6);
+          std::printf("%42s per-spot cost estimate %.2f us; speedup range [%.2f, %.2f]\n",
+                      "", model.per_spot_seconds() * 1e6, util::percentile(speedups, 0.0),
+                      util::percentile(speedups, 1.0));
         }
       }
       auto& worst = clustered ? worst_clustered_speedup : worst_uniform_speedup;
-      worst = std::min(worst, row.speedup());
+      worst = std::min(worst, speedup);
     }
   }
 

@@ -29,8 +29,9 @@ int main(int argc, char** argv) {
     dnc.processors = 8;
     dnc.pipes = 4;
     dnc.bus_bytes_per_second = mb_per_s * 1e6;
-    core::FrameStats stats;
-    const double rate = bench::measure_rate(workload, dnc, frames, &stats);
+    const bench::RateSample sample = bench::measure_rates(workload, dnc, frames);
+    const double rate = sample.wall_rate;
+    const paper::PipeFrameStats& stats = sample.stats;
     const double traffic =
         static_cast<double>(stats.geometry_bytes + stats.readback_bytes) * rate / 1e6;
     if (mb_per_s == 0.0) {

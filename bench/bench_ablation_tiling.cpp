@@ -4,12 +4,13 @@
 // The paper's tiling gives each pipe one region: a cheap disjoint compose
 // (copies instead of blends, smaller readbacks) bought with duplicated
 // spot-shape work for spots whose extent straddles region boundaries. The
-// tiled engine here renders one fixed grid of 64-px tiles on the runtime
-// pool instead, generating each spot once and composing each tile from the
-// participants' partials; `duplicates` counts the tile-list entries beyond
-// one per spot, the work per-region pipes would redo. This bench runs
-// gather-blend at 2 and 4 pipes and the tiled engine (which has no pipes)
-// on both paper workloads.
+// served engine renders on the runtime pool instead: every participant
+// rasterizes, each spot is generated once (no duplicates), and the
+// participants' partials are summed over the texture — a blend per
+// participant, no readback across a bus. (Its 64-px render grid only comes
+// into play for frames that reuse tiles; a frame that renders everything
+// skips it.) This bench runs the paper model's gather-blend at 2 and 4
+// pipes and the served engine on both paper workloads.
 #include <cstdio>
 #include <string>
 
@@ -27,12 +28,9 @@ int main(int argc, char** argv) {
                        "duplicates", "gather_ms", "readback_mb", "imbalance",
                        "stolen_chunks"});
 
-  // {pipes, tiled}; a tiled engine acquires no pipe, so it runs once.
-  struct Mode {
-    int pipes;
-    bool tiled;
-  };
-  const Mode modes[] = {{2, false}, {4, false}, {0, true}};
+  // Pipes for the paper model; 0 runs the served engine, which acquires no
+  // pipe.
+  const int modes[] = {2, 4, 0};
 
   for (const bool dns : {false, true}) {
     bench::Workload workload = dns ? bench::make_dns_workload(80)
@@ -41,16 +39,18 @@ int main(int argc, char** argv) {
     std::printf("%6s %14s %11s %9s %12s %11s %12s %11s %9s\n", "pipes", "mode",
                 "modeled/s", "wall/s", "duplicates", "gather ms", "readback MB",
                 "imbalance", "stolen");
-    for (const Mode& mode : modes) {
+    for (const int mode : modes) {
       core::DncConfig dnc;
       dnc.processors = 8;
-      if (!mode.tiled) dnc.pipes = mode.pipes;
-      dnc.tiled = mode.tiled;
+      const bool paper_model = mode > 0;
+      if (paper_model) dnc.pipes = mode;
       dnc.bus_bytes_per_second = bench::kPaperBusBytesPerSecond;
-      const bench::RateSample sample = bench::measure_rates(workload, dnc, frames);
-      const core::FrameStats& stats = sample.stats;
-      const char* name = mode.tiled ? "tiled" : "gather-blend";
-      const std::string pipes = mode.tiled ? "-" : std::to_string(mode.pipes);
+      const bench::RateSample sample = bench::measure_rates(
+          workload, dnc, frames,
+          paper_model ? bench::Engine::kPaperModel : bench::Engine::kServed);
+      const paper::PipeFrameStats& stats = sample.stats;
+      const char* name = paper_model ? "gather-blend" : "served";
+      const std::string pipes = paper_model ? std::to_string(mode) : "-";
       std::printf("%6s %14s %11.2f %9.2f %12lld %11.2f %12.2f %11.2f %9lld\n",
                   pipes.c_str(), name, sample.modeled_rate, sample.wall_rate,
                   static_cast<long long>(stats.duplicated_spots),
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper's tradeoff: per-pipe regions shrink the sequential compose but "
       "duplicate boundary spots, large spots (atmospheric 32x17 ribbons) more "
-      "than small ones (DNS 16x3); the tiled engine composes only the tiles "
-      "it renders and generates every spot once.\n");
+      "than small ones (DNS 16x3); the served engine generates every spot once "
+      "and blends one partial per participant.\n");
   return 0;
 }

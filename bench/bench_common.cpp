@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <type_traits>
 
 #include "field/analytic.hpp"
 #include "sim/dns_solver.hpp"
@@ -135,35 +136,45 @@ Workload make_balance_workload(bool clustered) {
   return w;
 }
 
-double measure_rate(const Workload& workload, const core::DncConfig& dnc,
-                    int frames, core::FrameStats* last_stats) {
-  core::DncSynthesizer engine(workload.synthesis, dnc);
-  (void)engine.synthesize(*workload.field, workload.spots);  // warm-up
-  double total = 0.0;
-  core::FrameStats stats;
-  for (int k = 0; k < frames; ++k) {
-    stats = engine.synthesize(*workload.field, workload.spots);
-    total += stats.frame_seconds;
-  }
-  if (last_stats) *last_stats = stats;
-  return frames / total;
-}
+namespace {
 
-RateSample measure_rates(const Workload& workload, const core::DncConfig& dnc,
-                         int frames) {
-  core::DncSynthesizer engine(workload.synthesis, dnc);
+template <class Synth>
+RateSample sample_rates(const Workload& workload, const core::DncConfig& dnc,
+                        int frames) {
+  Synth engine(workload.synthesis, dnc);
   (void)engine.synthesize(*workload.field, workload.spots);  // warm-up
   RateSample sample;
   double wall = 0.0;
   double modeled = 0.0;
   for (int k = 0; k < frames; ++k) {
-    sample.stats = engine.synthesize(*workload.field, workload.spots);
-    wall += sample.stats.frame_seconds;
-    modeled += sample.stats.modeled_frame_seconds;
+    const auto stats = engine.synthesize(*workload.field, workload.spots);
+    if constexpr (std::is_same_v<Synth, paper::PipeSynthesizer>) {
+      sample.stats = stats;
+    } else {
+      static_cast<core::FrameStats&>(sample.stats) = stats;
+    }
+    wall += stats.frame_seconds;
+    modeled += stats.modeled_frame_seconds;
   }
   sample.wall_rate = frames / wall;
   sample.modeled_rate = modeled > 0.0 ? frames / modeled : 0.0;
   return sample;
+}
+
+}  // namespace
+
+double measure_rate(const Workload& workload, const core::DncConfig& dnc,
+                    int frames, core::FrameStats* last_stats) {
+  const RateSample sample = measure_rates(workload, dnc, frames);
+  if (last_stats) *last_stats = sample.stats;
+  return sample.wall_rate;
+}
+
+RateSample measure_rates(const Workload& workload, const core::DncConfig& dnc,
+                         int frames, Engine engine) {
+  return engine == Engine::kPaperModel
+             ? sample_rates<paper::PipeSynthesizer>(workload, dnc, frames)
+             : sample_rates<core::DncSynthesizer>(workload, dnc, frames);
 }
 
 std::vector<Cell> run_table(const Workload& workload,

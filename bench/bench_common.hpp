@@ -19,6 +19,7 @@
 #include "core/dnc_synthesizer.hpp"
 #include "core/serial_synthesizer.hpp"
 #include "field/grid_field.hpp"
+#include "paper/pipe_synthesizer.hpp"
 
 namespace dcsn::bench {
 
@@ -52,9 +53,14 @@ Workload make_balance_workload(bool clustered);
 /// The paper's hardware model: the Onyx2 bus.
 constexpr double kPaperBusBytesPerSecond = 800.0e6;
 
-/// Runs `frames` frames of the workload under the given configuration and
-/// returns the mean textures/second (after one warm-up frame). `last_stats`
-/// receives the final frame's stats when non-null.
+/// Which engine a measurement runs: the paper's processor->pipe machine
+/// model (the tables, figures and ablations study it) or the served engine.
+enum class Engine { kPaperModel, kServed };
+
+/// Runs `frames` frames of the workload through the paper model under the
+/// given configuration and returns the mean textures/second (after one
+/// warm-up frame). `last_stats` receives the final frame's stats when
+/// non-null.
 double measure_rate(const Workload& workload, const core::DncConfig& dnc,
                     int frames, core::FrameStats* last_stats = nullptr);
 
@@ -70,11 +76,13 @@ struct RateSample {
   /// would see. Load-independent, so it is the headline number for
   /// scheduling ablations.
   double modeled_rate = 0.0;
-  core::FrameStats stats;  ///< last measured frame
+  /// Last measured frame; the pipe-only fields stay at their defaults for
+  /// the served engine.
+  paper::PipeFrameStats stats;
 };
 
 RateSample measure_rates(const Workload& workload, const core::DncConfig& dnc,
-                         int frames);
+                         int frames, Engine engine = Engine::kPaperModel);
 
 /// One measured cell of a paper table.
 struct Cell {

@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
   sc.intensity_scale = core::SerialSynthesizer::natural_intensity(sc);
   core::DncConfig dnc;
   dnc.processors = 4;
-  dnc.pipes = 2;
   render::Framebuffer spot_texture;
   {
     core::DncSynthesizer synth(sc, dnc);

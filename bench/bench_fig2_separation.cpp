@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
   config.intensity_scale = core::SerialSynthesizer::natural_intensity(config);
   core::DncConfig dnc;
   dnc.processors = 4;
-  dnc.pipes = 2;
   core::DncSynthesizer synth(config, dnc);
 
   // Top: default parameters.

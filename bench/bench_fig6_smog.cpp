@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
   config.intensity_scale = core::SerialSynthesizer::natural_intensity(config);
   core::DncConfig dnc;
   dnc.processors = args.get_int("processors", 4);
-  dnc.pipes = args.get_int("pipes", 2);
   core::DncSynthesizer synth(config, dnc);
 
   particles::ParticleSystemConfig pc;
@@ -80,9 +79,9 @@ int main(int argc, char** argv) {
   std::printf("  2 advect         %7.2f ms (%lld particles)\n",
               frame.advect_seconds * 1e3,
               static_cast<long long>(config.spot_count));
-  std::printf("  3 synthesize     %7.2f ms (%.2f textures/s at %d procs, %d pipes)\n",
+  std::printf("  3 synthesize     %7.2f ms (%.2f textures/s at %d procs)\n",
               frame.synthesis.frame_seconds * 1e3,
-              frame.synthesis.textures_per_second(), dnc.processors, dnc.pipes);
+              frame.synthesis.textures_per_second(), dnc.processors);
   std::printf("    spot filtering %7.2f ms (high-pass r=%d + normalize)\n",
               frame.filter_seconds * 1e3, ac.high_pass_radius);
   std::printf("  total            %7.2f ms -> %.1f frames/s animation\n",

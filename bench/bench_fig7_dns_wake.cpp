@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
   config.intensity_scale = core::SerialSynthesizer::natural_intensity(config);
   core::DncConfig dnc;
   dnc.processors = args.get_int("processors", 4);
-  dnc.pipes = args.get_int("pipes", 2);
   core::DncSynthesizer synth(config, dnc);
   util::Rng rng(config.seed);
   const auto spots =

@@ -9,12 +9,14 @@
 //      match on a constant-texel clone of the geometry) and per-pixel
 //      values within 1e-5 under both blend modes;
 //   2. measures fragment throughput of kSpan vs kReference over repeated
-//      rasterization (thread-CPU clock, stable on loaded 1-core CI hosts);
+//      rasterization (thread-CPU clock), in interleaved reference/span
+//      pairs; the gate reads the median pair ratio;
 //   3. ablates the runtime SIMD dispatch tiers (ISSUE 10): the workload's
 //      own blend spans are captured and replayed through each tier's fused
 //      sample_row kernel, isolating the kernel from triangle setup (which
-//      Amdahl-limits any end-to-end tier ratio);
-//   4. runs the whole DnC engine once per algorithm and reports the
+//      Amdahl-limits any end-to-end tier ratio), in interleaved rounds whose
+//      median avx2/scalar ratio is gated;
+//   4. runs the served engine once per algorithm and reports the
 //      eq. 3.2 modeled frame seconds;
 //   5. gates: span must reach >= 2.0x reference throughput (1.5x with
 //      --smoke, whose workload is too small to amortize setup), AND — when
@@ -40,6 +42,7 @@
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/simd_dispatch.hpp"
+#include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -386,12 +389,27 @@ int main(int argc, char** argv) {
               maximum_dev);
 
   // --- throughput ---
-  const double min_seconds = smoke ? 0.15 : 0.8;
-  const KernelRate ref = measure_kernel(r, fb, render::RasterAlgorithm::kReference,
-                                        min_seconds);
-  const KernelRate span = measure_kernel(r, fb, render::RasterAlgorithm::kSpan,
-                                         min_seconds);
-  const double speedup = span.frags_per_second / ref.frags_per_second;
+  // Interleaved repetitions: each pairs a reference bout with a span bout
+  // (alternating which runs first) and yields one span/reference ratio. The
+  // gate reads the median ratio, so a bout disturbed by other load on the
+  // host cannot flip it on its own.
+  const int repetitions = smoke ? 5 : 7;
+  const double min_seconds = (smoke ? 0.3 : 1.6) / repetitions;
+  KernelRate ref;
+  KernelRate span;
+  std::vector<double> ref_fps, span_fps, speedups;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    const bool ref_first = rep % 2 == 0;
+    if (ref_first) ref = measure_kernel(r, fb, render::RasterAlgorithm::kReference, min_seconds);
+    span = measure_kernel(r, fb, render::RasterAlgorithm::kSpan, min_seconds);
+    if (!ref_first) ref = measure_kernel(r, fb, render::RasterAlgorithm::kReference, min_seconds);
+    ref_fps.push_back(ref.frags_per_second);
+    span_fps.push_back(span.frags_per_second);
+    speedups.push_back(span.frags_per_second / ref.frags_per_second);
+  }
+  ref.frags_per_second = util::percentile(ref_fps, 0.5);
+  span.frags_per_second = util::percentile(span_fps, 0.5);
+  const double speedup = util::percentile(speedups, 0.5);
   const auto ratio = [](const render::RasterStats& s) {
     return s.pixels_visited > 0 ? static_cast<double>(s.fragments) /
                                       static_cast<double>(s.pixels_visited)
@@ -401,7 +419,9 @@ int main(int argc, char** argv) {
               ref.frags_per_second / 1e6, ratio(ref.stats));
   std::printf("  span:      %8.2f Mfrag/s  (visited ratio %.3f)\n",
               span.frags_per_second / 1e6, ratio(span.stats));
-  std::printf("  speedup: %.2fx (gate: >= %.1fx)\n", speedup, gate);
+  std::printf("  speedup: %.2fx, median of %d interleaved pairs [%.2f, %.2f] (gate: >= %.1fx)\n",
+              speedup, repetitions, util::percentile(speedups, 0.0),
+              util::percentile(speedups, 1.0), gate);
 
   // --- kernel-tier ablation: the fused span kernel per dispatch tier ---
   // End-to-end tier ratios are Amdahl-limited by triangle setup and edge
@@ -413,8 +433,8 @@ int main(int argc, char** argv) {
               span_work.spans.size(),
               static_cast<long long>(span_work.fragments),
               span_work.mean_length);
-  const double bout_seconds = smoke ? 0.06 : 0.18;
-  const int bout_rounds = smoke ? 3 : 4;
+  const double bout_seconds = smoke ? 0.04 : 0.15;
+  const int bout_rounds = smoke ? 5 : 7;
   std::vector<float> replay_dst(static_cast<std::size_t>(fb.width()) *
                                 static_cast<std::size_t>(fb.height()));
   std::vector<float*> replay_ptrs;
@@ -426,13 +446,29 @@ int main(int argc, char** argv) {
   for (const util::simd::Tier t : util::simd::available_tiers()) {
     tier_rates.push_back({t, 0.0});
   }
+  // Interleaved rounds (the tier order rotates each round); a tier's rate is
+  // its median bout and the AVX2 speedup the median of the per-round
+  // avx2/scalar ratios.
+  std::vector<std::vector<double>> bouts(tier_rates.size());
+  std::vector<double> tier_ratios;
   for (int round = 0; round < bout_rounds; ++round) {
-    for (TierRate& tr : tier_rates) {
-      tr.frags_per_second = std::max(
-          tr.frags_per_second,
-          measure_tier_bout(util::simd::kernels_for(tr.tier), span_work,
-                            replay_dst, replay_ptrs, bout_seconds));
+    std::vector<double> this_round(tier_rates.size());
+    for (std::size_t i = 0; i < tier_rates.size(); ++i) {
+      const std::size_t t = (i + static_cast<std::size_t>(round)) % tier_rates.size();
+      this_round[t] = measure_tier_bout(util::simd::kernels_for(tier_rates[t].tier),
+                                        span_work, replay_dst, replay_ptrs, bout_seconds);
+      bouts[t].push_back(this_round[t]);
     }
+    double round_scalar = 0.0;
+    double round_avx2 = 0.0;
+    for (std::size_t t = 0; t < tier_rates.size(); ++t) {
+      if (tier_rates[t].tier == util::simd::Tier::kScalar) round_scalar = this_round[t];
+      if (tier_rates[t].tier == util::simd::Tier::kAvx2) round_avx2 = this_round[t];
+    }
+    if (round_scalar > 0.0 && round_avx2 > 0.0) tier_ratios.push_back(round_avx2 / round_scalar);
+  }
+  for (std::size_t t = 0; t < tier_rates.size(); ++t) {
+    tier_rates[t].frags_per_second = util::percentile(bouts[t], 0.5);
   }
   double scalar_rate = 0.0;
   double avx2_rate = 0.0;
@@ -447,24 +483,22 @@ int main(int argc, char** argv) {
   }
   const bool have_avx2 = avx2_rate > 0.0;
   const double tier_gate = smoke ? 1.2 : 1.5;
-  const double tier_speedup =
-      have_avx2 && scalar_rate > 0.0 ? avx2_rate / scalar_rate : 0.0;
+  const double tier_speedup = have_avx2 ? util::percentile(tier_ratios, 0.5) : 0.0;
   if (have_avx2) {
-    std::printf("  avx2 kernel speedup: %.2fx (gate: >= %.1fx)\n", tier_speedup,
-                tier_gate);
+    std::printf("  avx2 kernel speedup: %.2fx, median of %d interleaved rounds (gate: >= %.1fx)\n",
+                tier_speedup, bout_rounds, tier_gate);
   } else {
     std::printf("  avx2 unavailable on this host — tier gate skipped\n");
   }
   const bool tier_pass = !have_avx2 || tier_speedup >= tier_gate;
 
-  // --- eq. 3.2 modeled frame time through the whole engine ---
+  // --- eq. 3.2 modeled frame time through the served engine ---
   core::DncConfig dnc;
   dnc.processors = 2;
-  dnc.pipes = 1;
   dnc.raster_algorithm = render::RasterAlgorithm::kReference;
-  const auto ref_rates = bench::measure_rates(r.workload, dnc, 1);
+  const auto ref_rates = bench::measure_rates(r.workload, dnc, 1, bench::Engine::kServed);
   dnc.raster_algorithm = render::RasterAlgorithm::kSpan;
-  const auto span_rates = bench::measure_rates(r.workload, dnc, 1);
+  const auto span_rates = bench::measure_rates(r.workload, dnc, 1, bench::Engine::kServed);
   std::printf("  modeled frame (eq. 3.2): reference %.3fs, span %.3fs, genT %0.3fs -> %0.3fs\n",
               ref_rates.stats.modeled_frame_seconds,
               span_rates.stats.modeled_frame_seconds,

@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
 
   core::DncConfig dnc;
   dnc.processors = 2;
-  dnc.pipes = 1;
 
   const field::Rect domain{0.0, 0.0, 2.0, 2.0};
   const auto field = field::analytic::taylor_green(1.0, domain);
@@ -127,10 +126,10 @@ int main(int argc, char** argv) {
   };
 
   std::printf("service workload: %lld bent spots (%dx%d mesh), %dx%d texture, "
-              "%d sessions x %d frames, nP=%d nG=%d per session\n",
+              "%d sessions x %d frames, nP=%d per session\n",
               static_cast<long long>(synthesis.spot_count), synthesis.bent.mesh_cols,
               synthesis.bent.mesh_rows, synthesis.texture_width,
-              synthesis.texture_height, kSessions, frames, dnc.processors, dnc.pipes);
+              synthesis.texture_height, kSessions, frames, dnc.processors);
 
   // --- solo: one session, one frame in flight at a time (warm-up first) ---
   (void)service.submit(sessions[0], request(0)).result.get();

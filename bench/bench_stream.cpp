@@ -76,7 +76,6 @@ StreamWorkload make_workload(bool smoke, int frames) {
   w.synthesis.seed = 20260808;
 
   w.dnc.processors = 2;
-  w.dnc.pipes = 1;
   w.dnc.chunk_spots = 32;
 
   util::Rng rng(w.synthesis.seed);

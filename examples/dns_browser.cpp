@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
 
   core::DncConfig dnc;
   dnc.processors = args.get_int("processors", 4);
-  dnc.pipes = args.get_int("pipes", 2);
   core::DncSynthesizer synthesizer(config, dnc);
 
   util::Rng rng(config.seed);

@@ -28,11 +28,10 @@ int main(int argc, char** argv) {
   config.kind = core::SpotKind::kEllipse;
   config.intensity_scale = core::SerialSynthesizer::natural_intensity(config);
 
-  // 3. How to generate it: a divide-and-conquer engine with 4 processors
-  //    feeding 2 simulated graphics pipes.
+  // 3. How to generate it: a divide-and-conquer engine whose 4 processors
+  //    each generate and rasterize a share of the spots.
   core::DncConfig dnc;
   dnc.processors = 4;
-  dnc.pipes = 2;
   core::DncSynthesizer synthesizer(config, dnc);
 
   // 4. Spots at random positions (animate by advecting a ParticleSystem
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
             << "  frame time:   " << stats.frame_seconds * 1e3 << " ms ("
             << stats.textures_per_second() << " textures/s)\n"
             << "  genP (CPU):   " << stats.genP_seconds * 1e3 << " ms\n"
-            << "  genT (pipes): " << stats.genT_seconds * 1e3 << " ms\n"
+            << "  genT (raster):" << stats.genT_seconds * 1e3 << " ms\n"
             << "  gather:       " << stats.gather_seconds * 1e3 << " ms\n";
   return 0;
 }

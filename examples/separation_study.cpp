@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
 
   core::DncConfig dnc;
   dnc.processors = args.get_int("processors", 4);
-  dnc.pipes = args.get_int("pipes", 2);
   core::DncSynthesizer synthesizer(config, dnc);
 
   // --- Default spot noise: uniform random spot positions (fig. 2 top) ----

@@ -58,7 +58,6 @@ ClientReport run_client(const std::string& socket_path,
   net::FrameClient client(socket_path);
   core::DncConfig dnc;
   dnc.processors = 2;
-  dnc.pipes = 1;
   (void)client.open_session(setup.field, setup.synthesis, dnc);
 
   const auto field = setup.field.make_field();

@@ -7,7 +7,7 @@
 // wind; every frame is synthesized with the divide-and-conquer engine from
 // the live wind field. A few key frames are written as PPM images.
 //
-//   ./smog_steering [--frames=24] [--processors=4] [--pipes=2] [--outdir=.]
+//   ./smog_steering [--frames=24] [--processors=4] [--outdir=.]
 #include <iostream>
 
 #include "core/animator.hpp"
@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
 
   core::DncConfig dnc;
   dnc.processors = args.get_int("processors", 4);
-  dnc.pipes = args.get_int("pipes", 2);
   core::DncSynthesizer synthesizer(config, dnc);
 
   particles::ParticleSystemConfig pc;
@@ -114,7 +113,6 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "steered " << frames << " frames at " << frames / total_time
-            << " frames/s (" << dnc.processors << " processors, " << dnc.pipes
-            << " pipes)\n";
+            << " frames/s (" << dnc.processors << " processors)\n";
   return 0;
 }

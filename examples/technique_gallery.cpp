@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
     config.intensity_scale = core::SerialSynthesizer::natural_intensity(config);
     core::DncConfig dnc;
     dnc.processors = 4;
-    dnc.pipes = 2;
     core::DncSynthesizer synth(config, dnc);
     util::Rng rng(config.seed);
     const auto spots = core::make_random_spots(domain, config.spot_count, rng);

@@ -80,7 +80,7 @@ fi
 echo "== gate: thread-safety (clang -Wthread-safety) =="
 if command -v clang++ >/dev/null 2>&1; then
   if cmake --preset analyze >build-analyze-configure.log 2>&1 &&
-     cmake --build --preset analyze -j "$JOBS" --target dcsn >build-analyze.log 2>&1; then
+     cmake --build --preset analyze -j "$JOBS" --target dcsn dcsn_paper >build-analyze.log 2>&1; then
     # Positive pass is clean; now the negative check. The violation TU must
     # NOT compile — a successful build means -Wthread-safety is not biting.
     if cmake --build --preset analyze -j "$JOBS" \

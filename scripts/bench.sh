@@ -2,7 +2,7 @@
 # Machine-readable perf trajectory: runs the gated ablation benches and
 # checks their JSON reports in at the repo root (BENCH_raster.json,
 # BENCH_incremental.json, BENCH_service.json, BENCH_tile_cache.json,
-# BENCH_robustness.json, BENCH_stream.json), so each PR's performance can
+# BENCH_robustness.json, BENCH_stream.json, BENCH_engine.json), so each PR's performance can
 # be diffed against the last instead of guessed.
 #
 #   scripts/bench.sh             # full workloads, refreshes BENCH_*.json
@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="${JOBS:-$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)}"
 
-BENCHES=(bench_raster_kernel bench_incremental bench_service bench_tile_cache bench_robustness bench_stream)
+BENCHES=(bench_raster_kernel bench_incremental bench_service bench_tile_cache bench_robustness bench_stream bench_engine)
 declare -A REPORT=(
   [bench_raster_kernel]=BENCH_raster.json
   [bench_incremental]=BENCH_incremental.json
@@ -28,6 +28,7 @@ declare -A REPORT=(
   [bench_tile_cache]=BENCH_tile_cache.json
   [bench_robustness]=BENCH_robustness.json
   [bench_stream]=BENCH_stream.json
+  [bench_engine]=BENCH_engine.json
 )
 
 cmake -B "$BUILD_DIR" -S . >/dev/null

@@ -31,6 +31,11 @@ annotations cannot rot while the tree is built with GCC:
       comes from core::Runtime (Runtime::parallel / parallel_for for data-
       parallel loops); a second pool would fight it for the cores and hide
       its barriers from ThreadSanitizer.          no waiver
+  R7  the served path carries no pipes: src/net/ and the synthesis_service.*
+      and dnc_synthesizer.* sources must not include render/pipe.hpp,
+      render/bus.hpp or any paper/ header. The emulated pipes and the
+      processor->pipe engine are the paper model (paper::PipeSynthesizer);
+      only benches and tests that study it use them.  no waiver
 
 Waiver comments apply to the line they sit on or the line directly below
 them. Exit status: 0 clean, 1 violations, 2 usage error.
@@ -81,6 +86,14 @@ MEMBER_DECL = re.compile(
     r"(?:=\s*[^;]*|\{[^}]*\})?\s*;"
 )
 OPENMP = re.compile(r"^\s*#\s*pragma\s+omp\b|#\s*include\s*[<\"]omp\.h[>\"]")
+PIPE_INCLUDE = re.compile(
+    r'^\s*#\s*include\s*"(render/pipe\.hpp|render/bus\.hpp|paper/[^"]+)"')
+SERVED_STEMS = {"synthesis_service", "dnc_synthesizer"}
+
+
+def on_served_path(rel: Path) -> bool:
+    """`rel` is relative to the linted src/ directory."""
+    return (rel.parts[:1] == ("net",) or rel.stem in SERVED_STEMS)
 WAIVER = re.compile(r"//\s*lock-lint:\s*(allow-std|standalone|allow-direct-lock|unguarded\([^)]*\))")
 
 
@@ -189,7 +202,7 @@ def member_lines_of_class(lines: list[str], begin: int, end: int) -> list[int]:
     return result
 
 
-def check_file(path: Path, wrapper_header: str) -> list[Violation]:
+def check_file(path: Path, wrapper_header: str, served: bool = False) -> list[Violation]:
     lines = load(path)
     violations: list[Violation] = []
     is_wrapper = path.as_posix().endswith(wrapper_header)
@@ -231,6 +244,16 @@ def check_file(path: Path, wrapper_header: str) -> list[Violation]:
                 "R6", path, idx + 1,
                 "OpenMP in src/ — every thread comes from core::Runtime "
                 "(use Runtime::parallel / parallel_for)"))
+
+        # R7: pipes on the served path.
+        if served:
+            m = PIPE_INCLUDE.search(code)
+            if m:
+                violations.append(Violation(
+                    "R7", path, idx + 1,
+                    f"served-path source includes {m.group(1)} — the pipe "
+                    "model belongs to paper::PipeSynthesizer, never the served "
+                    "engine"))
 
         # R5: direct lock()/unlock() calls.
         if not is_wrapper and DIRECT_LOCK.search(code):
@@ -307,7 +330,8 @@ def lint_tree(root: Path, wrapper_header: str = "util/thread_annotations.hpp") -
     files = sorted(list(src.rglob("*.hpp")) + list(src.rglob("*.cpp")))
     violations: list[Violation] = []
     for path in files:
-        violations.extend(check_file(path, wrapper_header))
+        violations.extend(check_file(path, wrapper_header,
+                                     served=on_served_path(path.relative_to(src))))
     return violations
 
 
@@ -368,7 +392,7 @@ def self_test(root: Path) -> int:
         print("lock_lint self-test FAILED: good_tree should be clean, got:")
         for v in good:
             print(f"  {v}")
-    expected = {"R1", "R2", "R3", "R4", "R5", "R6"}
+    expected = {"R1", "R2", "R3", "R4", "R5", "R6", "R7"}
     seen = {v.rule for v in bad}
     if seen != expected:
         ok = False

@@ -60,20 +60,6 @@ struct ParallelJob final : Runtime::SharedJob {
 
 }  // namespace
 
-PipeLease& PipeLease::operator=(PipeLease&& other) noexcept {
-  if (this != &other) {
-    if (runtime_ && pipe_) runtime_->release_pipe(std::move(pipe_));
-    runtime_ = other.runtime_;
-    pipe_ = std::move(other.pipe_);
-    other.runtime_ = nullptr;
-  }
-  return *this;
-}
-
-PipeLease::~PipeLease() {
-  if (runtime_ && pipe_) runtime_->release_pipe(std::move(pipe_));
-}
-
 Runtime::Runtime(RuntimeConfig config)
     : config_(config),
       framebuffers_(config.max_idle_framebuffers),
@@ -91,7 +77,6 @@ Runtime::~Runtime() {
   }
   cv_.notify_all();
   workers_.clear();  // joins the pool (jthread)
-  // idle_pipes_ tears down after: each pipe joins its server thread.
 }
 
 Runtime& Runtime::global() {
@@ -214,61 +199,6 @@ void Runtime::worker_loop(int worker_id) {
       return stop_ || epoch_ != epoch || !tasks_.empty();
     });
   }
-}
-
-PipeLease Runtime::acquire_pipe(const render::PipeConfig& config,
-                                std::shared_ptr<render::Bus> bus, int pipe_id) {
-  std::unique_ptr<render::GraphicsPipe> pipe;
-  {
-    util::MutexLock lock(pipes_mutex_);
-    auto it = idle_pipes_.find(key_of(config));
-    if (it != idle_pipes_.end() && !it->second.empty()) {
-      pipe = std::move(it->second.back());
-      it->second.pop_back();
-      ++pipes_reused_;
-    } else {
-      ++pipes_created_;
-    }
-  }
-  if (pipe) {
-    // Reuse path: rebind the borrowing session's bus and reshape the target
-    // instead of paying a fresh server thread + allocation. The session
-    // performs its own profile/blend/viewport setup next, exactly as it
-    // would on a new pipe.
-    pipe->set_bus(std::move(bus));
-    if (pipe->config().width != config.width ||
-        pipe->config().height != config.height) {
-      pipe->resize_target(config.width, config.height);
-    }
-  } else {
-    pipe = std::make_unique<render::GraphicsPipe>(config, std::move(bus), pipe_id);
-  }
-  return {this, std::move(pipe)};
-}
-
-void Runtime::release_pipe(std::unique_ptr<render::GraphicsPipe> pipe) {
-  // Scrub session state so a pooled pipe holds no references into the
-  // session that returned it: profile freed, viewport back at the origin,
-  // bus model dropped. finish() drains these before the pipe goes idle.
-  pipe->bind_profile(nullptr);
-  pipe->set_viewport_origin(0, 0);
-  pipe->finish();
-  pipe->set_bus(nullptr);
-  pipe->reset_stats();
-  util::MutexLock lock(pipes_mutex_);
-  auto& idle = idle_pipes_[key_of(pipe->config())];
-  if (idle.size() < config_.max_idle_pipes) idle.push_back(std::move(pipe));
-  // else: destroyed here, joining its server thread.
-}
-
-std::int64_t Runtime::pipes_created() const {
-  util::MutexLock lock(pipes_mutex_);
-  return pipes_created_;
-}
-
-std::int64_t Runtime::pipes_reused() const {
-  util::MutexLock lock(pipes_mutex_);
-  return pipes_reused_;
 }
 
 }  // namespace dcsn::core

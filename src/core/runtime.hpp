@@ -1,62 +1,53 @@
-// The shared engine runtime: one worker pool, one graphics-pipe pool, one
-// framebuffer pool for every synthesizer, animator and service session in
-// the process.
+// The shared engine runtime: one worker pool and one framebuffer pool for
+// every synthesizer, animator and service session in the process.
 //
 // The paper's machine model assumes a single synthesis job owning the whole
 // Onyx2 — processors, pipes and the bus. That assumption breaks the moment
 // two animations (or a service full of client sessions) run concurrently:
-// each DncSynthesizer used to spawn its own worker threads and GraphicsPipes
-// privately, so N sessions meant N oversubscribed thread pools fighting for
-// the same cores. The Runtime inverts the ownership: the *engine* owns the
-// workers and device pools, and sessions borrow.
+// private worker threads per session meant N oversubscribed thread pools
+// fighting for the same cores. The Runtime inverts the ownership: the
+// *engine* owns the workers and buffers, and sessions borrow.
 //
 //   Runtime
 //    ├─ worker pool        N pool threads serving registered SharedJobs
-//    │                     (frame jobs) in FIFO order + one-shot tasks
-//    ├─ GraphicsPipe pool  released pipes keyed by behavioral config; a
-//    │                     checkout reshapes via resize_target instead of
-//    │                     constructing a new server thread + target
-//    └─ FramebufferPool    recycled readback / partial / scratch textures
+//    │                     in FIFO order + one-shot tasks
+//    ├─ FramebufferPool    recycled partial / readback / scratch textures
+//    └─ TileStore          the content-addressed tile cache
 //
-// Scheduling model. A frame job (one contiguous-mode
-// DncSynthesizer::synthesize call) registers itself, and *participants* join it: always the calling thread,
-// plus pool workers up to the session's processor budget. Participants claim
-// group-master roles first and produce spot geometry after, stealing across
-// groups — and, because pool workers serve whichever registered job has
-// work, across *sessions*: util::StealableWorkCounter never cared which
-// thread claims a chunk, and the PR 4 determinism lattice guarantees the
-// pixels cannot depend on which session's worker rasterized what. The
-// calling thread always participates, so every frame makes progress even
-// when the pool is empty or absorbed by other sessions.
+// Scheduling model. A job registers itself and *participants* join it:
+// always the calling thread, plus pool workers up to the job's cap. Data-
+// parallel loops (parallel / parallel_for) are such jobs: every served
+// frame (core::DncSynthesizer), the serial synthesizer's partial
+// reduction, the DNS and smog solvers, the texture filters, LIC and the
+// particle advection each register a short-lived job that the calling
+// thread and pool workers drain together. Because pool workers serve
+// whichever registered job has work, an idle session's capacity flows to a
+// loaded one; the contribution lattice guarantees the pixels cannot depend
+// on which session's worker rasterized what. The calling thread always
+// participates, so every job makes progress even when the pool is empty or
+// absorbed by other sessions. The paper model (paper::PipeSynthesizer)
+// registers its own SharedJob to run its process groups on the same pool.
 //
 // One-shot tasks (post/async) ride the same pool: the pipelined animator's
-// prepare step is a task, not a private thread. Data-parallel loops ride it
-// too (parallel / parallel_for): the tiled engine's frames, the serial
-// synthesizer's partial reduction, the DNS and smog solvers, the texture
-// filters, LIC and the particle advection each register a short-lived job
-// that the calling thread and pool workers drain together. The process has one pool; there
-// is no second runtime (such as OpenMP's) competing for the cores.
+// prepare step is a task, not a private thread. The process has one pool;
+// there is no second runtime (such as OpenMP's) competing for the cores.
 //
 // A process-global Runtime (Runtime::global()) backs every constructor that
-// does not name one, which is what keeps the entire pre-runtime API — and
-// its test suite — working unchanged.
+// does not name one.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/fault_injector.hpp"
 #include "core/tile_store.hpp"
 #include "render/framebuffer_pool.hpp"
-#include "render/pipe.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/threading.hpp"
 
@@ -67,9 +58,6 @@ struct RuntimeConfig {
   /// ensure_workers() with their processor budget, so the default Runtime
   /// starts empty and sizes itself to the largest request seen.
   int workers = 0;
-  /// Released pipes retained per behavioral configuration; extras are torn
-  /// down on release.
-  std::size_t max_idle_pipes = 16;
   /// Released framebuffers retained by the shared pool.
   std::size_t max_idle_framebuffers = 64;
   /// Byte budget of the shared content-addressed tile cache (see
@@ -85,35 +73,9 @@ struct RuntimeConfig {
   std::shared_ptr<FaultInjector> fault_injector = nullptr;
 };
 
-class Runtime;
-
-/// RAII checkout of a pooled GraphicsPipe: returns the pipe to the Runtime's
-/// pool on destruction (with its session state — bus, profile, viewport —
-/// reset), instead of joining its server thread.
-class PipeLease {
- public:
-  PipeLease() = default;
-  PipeLease(Runtime* runtime, std::unique_ptr<render::GraphicsPipe> pipe)
-      : runtime_(runtime), pipe_(std::move(pipe)) {}
-  PipeLease(PipeLease&&) noexcept = default;
-  PipeLease& operator=(PipeLease&& other) noexcept;
-  PipeLease(const PipeLease&) = delete;
-  PipeLease& operator=(const PipeLease&) = delete;
-  ~PipeLease();
-
-  [[nodiscard]] render::GraphicsPipe* get() const { return pipe_.get(); }
-  render::GraphicsPipe* operator->() const { return pipe_.get(); }
-  render::GraphicsPipe& operator*() const { return *pipe_; }
-  explicit operator bool() const { return pipe_ != nullptr; }
-
- private:
-  Runtime* runtime_ = nullptr;
-  std::unique_ptr<render::GraphicsPipe> pipe_;
-};
-
 class Runtime {
  public:
-  /// A cooperative multi-worker computation (a synthesis frame). Pool
+  /// A cooperative multi-worker computation (a parallel loop, a frame). Pool
   /// workers offer capacity by calling serve(); the implementation joins the
   /// job if it wants the help, works until nothing is immediately
   /// available, and returns whether any work was done. serve() must be safe
@@ -151,7 +113,8 @@ class Runtime {
   void deregister_job(const SharedJob* job);
 
   /// Wakes sleeping workers after new work appeared inside a registered job
-  /// (e.g. a group master started and its counter became claimable).
+  /// (e.g. a paper-model group master started and its counter became
+  /// claimable).
   void notify_workers();
 
   /// Registered frame jobs right now (a lock-free snapshot). Sessions use
@@ -210,16 +173,7 @@ class Runtime {
              });
   }
 
-  // --- device pools ---
-
-  /// Checks out a pipe matching `config`'s behavioral parameters (state
-  /// latency, raster cost/algorithm, queue capacity), reshaping a pooled
-  /// pipe via resize_target when only the dimensions differ, or constructing
-  /// a fresh one. The lease returns the pipe on destruction. `bus` is the
-  /// borrowing session's bus model (rebound per checkout).
-  [[nodiscard]] PipeLease acquire_pipe(const render::PipeConfig& config,
-                                       std::shared_ptr<render::Bus> bus,
-                                       int pipe_id);
+  // --- shared buffers ---
 
   [[nodiscard]] render::FramebufferPool& framebuffers() { return framebuffers_; }
 
@@ -236,22 +190,7 @@ class Runtime {
     return config_.fault_injector.get();
   }
 
-  /// Pipes constructed because no pooled pipe matched (pool telemetry).
-  [[nodiscard]] std::int64_t pipes_created() const;
-  /// Checkouts served by reusing a pooled pipe.
-  [[nodiscard]] std::int64_t pipes_reused() const;
-
  private:
-  friend class PipeLease;
-
-  // Behavioral pipe identity: everything except the (resizable) dimensions.
-  using PipeKey = std::tuple<double, double, std::size_t, int>;
-  static PipeKey key_of(const render::PipeConfig& config) {
-    return {config.state_change_seconds, config.raster_cost_multiplier,
-            config.queue_capacity, static_cast<int>(config.raster_algorithm)};
-  }
-
-  void release_pipe(std::unique_ptr<render::GraphicsPipe> pipe);
   void worker_loop(int worker_id);
 
   RuntimeConfig config_;  // lock-lint: unguarded(immutable after construction)
@@ -264,12 +203,6 @@ class Runtime {
   std::vector<std::shared_ptr<SharedJob>> jobs_ DCSN_GUARDED_BY(mutex_);
   std::atomic<int> job_count_{0};  ///< jobs_.size(), readable without mutex_
   std::vector<std::function<void()>> tasks_ DCSN_GUARDED_BY(mutex_);
-
-  mutable util::Mutex pipes_mutex_;
-  std::map<PipeKey, std::vector<std::unique_ptr<render::GraphicsPipe>>>
-      idle_pipes_ DCSN_GUARDED_BY(pipes_mutex_);
-  std::int64_t pipes_created_ DCSN_GUARDED_BY(pipes_mutex_) = 0;
-  std::int64_t pipes_reused_ DCSN_GUARDED_BY(pipes_mutex_) = 0;
 
   render::FramebufferPool framebuffers_;  // lock-lint: unguarded(internally synchronized)
   // Recycles into framebuffers_: declared after it.

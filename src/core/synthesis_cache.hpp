@@ -36,8 +36,8 @@
 //     different engine is planned for, or the engine rendered any frame
 //     the cache did not commit (another caller, or a failed frame), the
 //     final texture's retained regions can no longer be trusted;
-//   * non-tiled engines: contiguous mode has no per-tile buffers to
-//     retain; plan() always answers "full".
+//   * non-tiled engines have no render grid to retain tiles on; plan()
+//     always answers "full".
 #pragma once
 
 #include <span>

@@ -39,8 +39,8 @@ SynthesisService::~SynthesisService() { shutdown(/*drain=*/true); }
 
 SynthesisService::SessionId SynthesisService::open_session(
     const SynthesisConfig& synthesis, const DncConfig& dnc, int priority) {
-  // Engine construction outside the lock: it touches the runtime (pipe
-  // checkout, pool growth) and may take a moment.
+  // Engine construction outside the lock: it touches the runtime (pool
+  // growth) and may take a moment.
   auto session = std::make_unique<Session>();
   session->priority = priority;
   session->engine = std::make_unique<DncSynthesizer>(synthesis, dnc, *runtime_);
@@ -499,8 +499,8 @@ SynthesisService::RunResult SynthesisService::run_job(Session& session,
     result.service_seq = seq;
     result.attempts = job.attempt;
     if (req.capture_texture) result.texture = engine.texture();
-    // Every tiled participant rasterizes, so the model's nG is the
-    // engine's rasterizer count, not its pipe count.
+    // Every participant rasterizes, so the model's nG is the engine's
+    // rasterizer count.
     out.model = PerfModel::calibrate(stats, engine.rasterizers());
     out.value = std::move(result);
     out.outcome = Outcome::kCompleted;
@@ -686,7 +686,7 @@ void SynthesisService::watchdog_loop() {
                          config_.watchdog_interval_seconds >=
                      config_.watchdog_no_progress_seconds) {
         // No chunk progressed for the whole budget: the frame is wedged
-        // (a stuck field callback, a hung pipe). Time it out so the
+        // (a stuck field callback). Time it out so the
         // session recovers instead of holding a driver forever.
         job->control.timed_out.store(true, std::memory_order_relaxed);
       }

@@ -3,7 +3,7 @@
 // The paper's engine serves exactly one interactive user; the ROADMAP's
 // north star is a system serving many. SynthesisService is that front end:
 // clients open sessions (one engine + one temporal cache each, all
-// borrowing pipes/workers/buffers from one shared core::Runtime) and submit
+// borrowing workers and buffers from one shared core::Runtime) and submit
 // frames as asynchronous jobs:
 //
 //   submit(session, request, options) → JobTicket (a future of FrameStats +

@@ -1,6 +1,7 @@
 #include "core/tile_store.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -10,7 +11,7 @@ namespace dcsn::core {
 namespace {
 
 std::uint64_t default_index_hash(const TileKey& key) {
-  // The three content hashes are already well-mixed FNV states; fold them
+  // The three content hashes are already well mixed; fold them
   // with the rectangle so same-content tiles of different regions spread
   // across shards.
   std::uint64_t h = util::fnv1a(&key.spot_hash, sizeof(key.spot_hash));
@@ -23,17 +24,32 @@ std::uint64_t default_index_hash(const TileKey& key) {
   return h;
 }
 
+/// The murmur3 64-bit finalizer: a bijection in which every input bit
+/// flips each output bit with probability ~1/2.
+std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
 }  // namespace
 
 std::uint64_t hash_spot_subset(std::span<const SpotInstance> spots,
                                std::span<const std::int64_t> indices) {
-  const std::uint64_t count = indices.size();
-  std::uint64_t h = util::fnv1a(&count, sizeof(count));
+  // A chain h = mix64(h ^ word) over the count and then each entry's three
+  // 64-bit bit patterns: a word at a time instead of FNV-1a's byte at a
+  // time, and with full avalanche per word, so the key stays sensitive to
+  // every bit and to the order of the entries (a collision would serve
+  // another subset's pixels).
+  std::uint64_t h = mix64(util::kFnv1aOffset ^ indices.size());
   for (const std::int64_t k : indices) {
     const SpotInstance& spot = spots[static_cast<std::size_t>(k)];
-    h = util::fnv1a(&spot.position.x, sizeof(spot.position.x), h);
-    h = util::fnv1a(&spot.position.y, sizeof(spot.position.y), h);
-    h = util::fnv1a(&spot.intensity, sizeof(spot.intensity), h);
+    h = mix64(h ^ std::bit_cast<std::uint64_t>(spot.position.x));
+    h = mix64(h ^ std::bit_cast<std::uint64_t>(spot.position.y));
+    h = mix64(h ^ std::bit_cast<std::uint64_t>(spot.intensity));
   }
   return h;
 }

@@ -81,10 +81,11 @@ struct TileKey {
   bool operator==(const TileKey&) const = default;
 };
 
-/// Hashes the spot subset `indices` of `spots` (raw position/intensity
-/// bytes, ascending index order — exactly the order-independent identity the
-/// lattice makes sufficient). Seeded with the subset size so a prefix subset
-/// never aliases its extension.
+/// Hashes the spot subset `indices` of `spots` (the 64-bit patterns of each
+/// position and intensity, in list order — ascending index order from the
+/// tile assignment, exactly the order-independent identity the lattice
+/// makes sufficient). Sensitive to every bit and to entry order. Seeded
+/// with the subset size so a prefix subset never aliases its extension.
 [[nodiscard]] std::uint64_t hash_spot_subset(
     std::span<const SpotInstance> spots, std::span<const std::int64_t> indices);
 

@@ -63,10 +63,11 @@ inline constexpr std::size_t kHeaderBytes = 9;
 // Session-config bounds OpenSessionMsg::decode enforces; anything outside
 // them, or any non-finite real, is a ProtocolError. A client describes a
 // workload, while the server owns the threads, busy-spins and buffers that
-// serve it: `processors` sizes the shared worker pool, `pipes` starts pipe
-// server threads, the texture side sizes every framebuffer and
-// `state_change_seconds` is spun per pipe state change. Unbounded, one
-// OpenSession could make the server start 2^31 threads.
+// serve it: `processors` sizes the shared worker pool and the texture side
+// sizes every framebuffer. `pipes` and the pipe-emulation knobs are read by
+// the paper model only (a served session starts no pipe) but stay bounded
+// on the wire. Unbounded, one OpenSession could make the server start 2^31
+// threads.
 inline constexpr std::int32_t kMaxProcessors = 64;
 inline constexpr std::int32_t kMaxPipes = 16;
 /// Texture width and height, px (a full 4096^2 f32 texture is 64 MiB).

@@ -1,11 +1,16 @@
 #include "render/pipe.hpp"
 
+#include <atomic>
 #include <string>
 
 #include "util/error.hpp"
 #include "util/threading.hpp"
 
 namespace dcsn::render {
+
+namespace {
+std::atomic<std::int64_t> pipes_created{0};
+}  // namespace
 
 GraphicsPipe::GraphicsPipe(PipeConfig config, std::shared_ptr<Bus> bus, int pipe_id)
     : config_(config),
@@ -16,6 +21,11 @@ GraphicsPipe::GraphicsPipe(PipeConfig config, std::shared_ptr<Bus> bus, int pipe
       server_([this](std::stop_token stop) { server_loop(stop); }) {
   DCSN_CHECK(config.raster_cost_multiplier >= 1.0,
              "raster cost multiplier models a slower pipe, must be >= 1");
+  pipes_created.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::int64_t GraphicsPipe::created_count() {
+  return pipes_created.load(std::memory_order_relaxed);
 }
 
 GraphicsPipe::~GraphicsPipe() { queue_.close(); }
@@ -28,17 +38,6 @@ void GraphicsPipe::set_blend_mode(BlendMode mode) { queue_.push(CmdBlendMode{mod
 
 void GraphicsPipe::set_viewport_origin(int x, int y) {
   queue_.push(CmdViewport{x, y});
-}
-
-void GraphicsPipe::resize_target(int width, int height) {
-  DCSN_CHECK(width > 0 && height > 0, "pipe target dimensions must be positive");
-  // Caller-side bookkeeping: config() must reflect the actual target shape
-  // so a pool checkout can tell whether a reshape is needed. Only the
-  // dimensions are written; the server thread reads the behavioral fields,
-  // which never change after construction.
-  config_.width = width;
-  config_.height = height;
-  queue_.push(CmdResize{width, height});
 }
 
 void GraphicsPipe::clear(float value) { queue_.push(CmdClear{value}); }
@@ -132,16 +131,6 @@ void GraphicsPipe::execute(Command& cmd) {
     void operator()(CmdViewport& c) {
       pipe.viewport_x_ = c.x;
       pipe.viewport_y_ = c.y;
-    }
-
-    void operator()(CmdResize& c) {
-      const util::Stopwatch watch;
-      pipe.pay_state_change();
-      pipe.target_ = Framebuffer(c.width, c.height);
-      util::MutexLock lock(pipe.stats_mutex_);
-      pipe.stats_.state_changes += 1;
-      pipe.stats_.state_seconds += watch.seconds();
-      pipe.stats_.busy_seconds += watch.seconds();
     }
 
     void operator()(CmdClear& c) {

@@ -90,11 +90,6 @@ class GraphicsPipe {
   /// full-texture path (see render/rasterizer.hpp).
   void set_viewport_origin(int x, int y);
 
-  /// Reallocates the render target (a state change; the old contents are
-  /// discarded). Lets the tiled engine reshape its regions between frames
-  /// when the cost-balanced tiling moves a cut.
-  void resize_target(int width, int height);
-
   /// Clears the render target to `value`.
   void clear(float value = 0.0f);
 
@@ -119,17 +114,14 @@ class GraphicsPipe {
   /// allocation-free in steady state.
   void read_back_into(Framebuffer& out);
 
-  /// Rebinds the host<->pipe bus. Part of the pipe-pool checkout protocol:
-  /// pooled pipes are reused across sessions that each keep their own Bus
-  /// model. Caller-thread state (the bus is consulted on submit/read_back,
-  /// never by the server thread); call only while no commands are in
-  /// flight, i.e. between sessions.
-  void set_bus(std::shared_ptr<Bus> bus) { bus_ = std::move(bus); }
 
   // --- introspection ---
 
   [[nodiscard]] const PipeConfig& config() const { return config_; }
   [[nodiscard]] int id() const { return pipe_id_; }
+  /// Pipes constructed in this process so far: lets tests assert that the
+  /// served engine starts no pipe server thread.
+  [[nodiscard]] static std::int64_t created_count();
 
   /// Snapshot of the counters. Call after finish() for exact totals.
   [[nodiscard]] PipeStats stats() const;
@@ -145,9 +137,6 @@ class GraphicsPipe {
   struct CmdViewport {
     int x, y;
   };
-  struct CmdResize {
-    int width, height;
-  };
   struct CmdClear {
     float value;
   };
@@ -159,7 +148,7 @@ class GraphicsPipe {
   struct CmdFence {
     std::promise<void> done;
   };
-  using Command = std::variant<CmdBindProfile, CmdBlendMode, CmdViewport, CmdResize,
+  using Command = std::variant<CmdBindProfile, CmdBlendMode, CmdViewport,
                                CmdClear, CmdDraw, CmdFence>;
 
   void server_loop(std::stop_token stop);

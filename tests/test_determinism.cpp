@@ -13,9 +13,10 @@
 //     commutative — any order or grouping of the sums gives the same bits.
 //
 // These tests assert the consequence: the same SynthesisConfig seed and
-// spot set produce BIT-IDENTICAL textures across worker counts, pipe
-// counts, contiguous vs tiled mode, and with work stealing forced on — and across repeated runs of the same configuration,
-// which is what the golden-frame suite depends on. No tolerance anywhere:
+// spot set produce BIT-IDENTICAL textures across worker counts, tiled vs
+// untiled served frames, the paper model's pipe counts and work stealing —
+// and across repeated runs of the same configuration, which is what the
+// golden-frame suite depends on. No tolerance anywhere:
 // Framebuffer::operator== compares every float for equality.
 //
 // One deliberate exception: the two RasterAlgorithms produce bit-identical
@@ -35,6 +36,7 @@
 #include "core/spot_source.hpp"
 #include "core/tile_store.hpp"
 #include "field/analytic.hpp"
+#include "paper/pipe_synthesizer.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -74,6 +76,13 @@ render::Framebuffer run(const Scene& scene, const DncConfig& dnc) {
   return engine.texture();
 }
 
+/// The same scene through the paper's pipe model.
+render::Framebuffer run_paper(const Scene& scene, const DncConfig& dnc) {
+  paper::PipeSynthesizer model(scene.synthesis, dnc);
+  model.synthesize(*scene.field, scene.spots);
+  return model.texture();
+}
+
 DncConfig base_config() {
   DncConfig dnc;
   dnc.processors = 4;
@@ -111,11 +120,12 @@ TEST(Determinism, PipeCountDoesNotChangeBits) {
   DncConfig dnc = base_config();
   dnc.pipes = 1;
   dnc.processors = 4;
-  const render::Framebuffer one = run(scene, dnc);
+  const render::Framebuffer one = run_paper(scene, dnc);
   for (const int pipes : {2, 4}) {
     dnc.pipes = pipes;
-    EXPECT_EQ(one, run(scene, dnc)) << pipes << " pipes";
+    EXPECT_EQ(one, run_paper(scene, dnc)) << pipes << " pipes";
   }
+  EXPECT_EQ(one, run(scene, dnc)) << "served engine";
 }
 
 TEST(Determinism, WorkerCountDoesNotChangeBits) {
@@ -133,14 +143,19 @@ TEST(Determinism, WorkerCountDoesNotChangeBits) {
 // ----------------------------------------------------------------- mode ---
 
 TEST(Determinism, ContiguousAndTiledModesMatchBitwise) {
+  // The paper model's contiguous gather-blend against the served engine,
+  // untiled and tiled.
   const Scene scene = make_scene(core::SpotKind::kEllipse);
   DncConfig dnc = base_config();
   dnc.pipes = 4;
-  const render::Framebuffer contiguous = run(scene, dnc);
-  dnc.tiled = true;
-  for (const int processors : {1, 4}) {
-    dnc.processors = processors;
-    EXPECT_EQ(contiguous, run(scene, dnc)) << "tiled, " << processors << " processors";
+  const render::Framebuffer contiguous = run_paper(scene, dnc);
+  for (const bool tiled : {false, true}) {
+    dnc.tiled = tiled;
+    for (const int processors : {1, 4}) {
+      dnc.processors = processors;
+      EXPECT_EQ(contiguous, run(scene, dnc))
+          << (tiled ? "tiled, " : "untiled, ") << processors << " processors";
+    }
   }
 }
 
@@ -155,14 +170,15 @@ TEST(Determinism, WorkStealingDoesNotChangeBits) {
   dnc.pipes = 2;
   dnc.processors = 6;
   dnc.steal = false;
-  const render::Framebuffer unstolen = run(scene, dnc);
+  const render::Framebuffer unstolen = run_paper(scene, dnc);
   dnc.steal = true;
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(unstolen, run(scene, dnc)) << "steal rerun " << i;
+    EXPECT_EQ(unstolen, run_paper(scene, dnc)) << "steal rerun " << i;
   }
+  EXPECT_EQ(unstolen, run(scene, dnc)) << "served, untiled";
   DncConfig tiled = dnc;
   tiled.tiled = true;
-  EXPECT_EQ(unstolen, run(scene, tiled)) << "tiled + steal";
+  EXPECT_EQ(unstolen, run(scene, tiled)) << "served, tiled";
 }
 
 // --------------------------------------------- serial synthesizer oracle ---
@@ -197,9 +213,10 @@ TEST(Determinism, ReferenceAlgorithmIsDeterministicToo) {
   dnc.raster_algorithm = render::RasterAlgorithm::kReference;
   dnc.pipes = 1;
   dnc.processors = 1;
-  const render::Framebuffer one_pipe = run(scene, dnc);
+  const render::Framebuffer one_pipe = run_paper(scene, dnc);
   dnc.pipes = 4;
   dnc.processors = 8;
+  EXPECT_EQ(one_pipe, run_paper(scene, dnc));
   EXPECT_EQ(one_pipe, run(scene, dnc));
   dnc.tiled = true;
   EXPECT_EQ(one_pipe, run(scene, dnc));
@@ -277,7 +294,7 @@ TEST(Determinism, CrossSessionWorkSharingDoesNotChangeBits) {
   // compared bit for bit.
   const Scene scene_a = make_scene(core::SpotKind::kEllipse, 400);
   const Scene scene_b = make_scene(core::SpotKind::kBent, 250);
-  DncConfig dnc_a = base_config();  // contiguous, 2 pipes
+  DncConfig dnc_a = base_config();  // untiled
   DncConfig dnc_b = base_config();
   dnc_b.tiled = true;  // mixed modes share the same worker pool
   const render::Framebuffer ref_a = run(scene_a, dnc_a);

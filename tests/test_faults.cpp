@@ -38,6 +38,7 @@
 #include "core/spot_source.hpp"
 #include "core/synthesis_service.hpp"
 #include "field/analytic.hpp"
+#include "paper/pipe_synthesizer.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -212,7 +213,9 @@ TEST(FaultInjector, SchedulingSitesNeverThrow) {
 /// Runs `kFrames` frames against an engine with the given single-site plan,
 /// retrying failed attempts with a fresh per-attempt fault key (the same
 /// re-keying the service performs). Asserts bit-exact recovery and census
-/// conservation.
+/// conservation. `Engine` is core::DncSynthesizer for every site but
+/// kQueuePop, which only the paper model's masters visit.
+template <class Engine>
 void run_engine_case(FaultSite site, bool delay_mode) {
   SCOPED_TRACE(std::string(core::fault_site_name(site)) +
                (delay_mode ? " / delay" : " / throw"));
@@ -222,12 +225,12 @@ void run_engine_case(FaultSite site, bool delay_mode) {
   int pool_workers = 3;
   std::unique_ptr<field::VectorField> field;
   if (site == FaultSite::kQueuePop) {
-    // The timed inbox wait only runs in contiguous mode (tiled frames have
-    // no masters), when a master starves while deliveries are still in
-    // flight: tiny chunks claimed instantly but generated slowly by a crowd
-    // of producers keep that window open — which also makes this case the
-    // stress pin for the master-exit handshake (exit must terminate
-    // through injected spurious timeouts without losing a delivery).
+    // The timed inbox wait only runs in the paper model, when a master
+    // starves while deliveries are still in flight: tiny chunks claimed
+    // instantly but generated slowly by a crowd of producers keep that
+    // window open — which also makes this case the stress pin for the
+    // master-exit handshake (exit must terminate through injected spurious
+    // timeouts without losing a delivery).
     dnc.tiled = false;
     dnc.chunk_spots = 1;
     dnc.pipe_queue_capacity = 2;
@@ -242,7 +245,7 @@ void run_engine_case(FaultSite site, bool delay_mode) {
   std::array<std::uint64_t, kFrames> expected{};
   {
     core::Runtime clean_runtime({.workers = pool_workers});
-    core::DncSynthesizer clean(config, dnc, clean_runtime);
+    Engine clean(config, dnc, clean_runtime);
     for (int f = 0; f < kFrames; ++f) {
       (void)clean.synthesize(*field, frame_spots(config, f));
       expected[static_cast<std::size_t>(f)] = clean.texture().content_hash();
@@ -252,7 +255,7 @@ void run_engine_case(FaultSite site, bool delay_mode) {
   auto injector = std::make_shared<FaultInjector>(single_site_plan(
       site, delay_mode, 0xfa11ULL + static_cast<std::uint64_t>(site)));
   core::Runtime runtime({.workers = pool_workers, .fault_injector = injector});
-  core::DncSynthesizer engine(config, dnc, runtime);
+  Engine engine(config, dnc, runtime);
   const std::int64_t census0 = census(runtime);
 
   core::FrameControl control;  // infinite deadline: delays never time out
@@ -285,13 +288,14 @@ void run_engine_case(FaultSite site, bool delay_mode) {
   // only when the racy window they model actually opens (a starved master,
   // a worker pickup), which depends on the interleaving — if the main
   // frames never opened it, force it open structurally instead of
-  // replaying the same schedule and hoping. One contiguous group, two wide
+  // replaying the same schedule and hoping. Untiled, one pipe, two wide
   // chunks, tile cache off (a cache hit generates nothing and so can never
-  // starve): a single pool producer's register->generate->deliver cycle
-  // then spans half the frame, so the master reliably runs dry while a
-  // delivery is still in flight. (A 1-core TSan run can starve the
-  // tiny-chunk config above out of the window for entire frames at a
-  // time, which is exactly the case this fallback exists for.)
+  // starve): the frame is a pool job a worker must pick up, and in the
+  // paper model a single pool producer's register->generate->deliver cycle
+  // spans half the frame, so the master reliably runs dry while a delivery
+  // is still in flight. (A 1-core TSan run can starve the tiny-chunk
+  // config above out of the window for entire frames at a time, which is
+  // exactly the case this fallback exists for.)
   const auto site_evaluations = [&] {
     return injector->counters().evaluations[static_cast<std::size_t>(site)];
   };
@@ -305,7 +309,7 @@ void run_engine_case(FaultSite site, bool delay_mode) {
     wide.chunk_spots = config.spot_count / 2;
     wide.tile_cache = false;
     const auto slow = spinning_field(100e-6);
-    core::DncSynthesizer starved(config, wide, runtime);
+    Engine starved(config, wide, runtime);
     for (int extra = 0; extra < 200 && site_evaluations() == 0; ++extra) {
       control.fault_key = 0x5c3dULL + static_cast<std::uint64_t>(extra);
       starved.bind_frame_control(&control);
@@ -315,6 +319,14 @@ void run_engine_case(FaultSite site, bool delay_mode) {
   }
   EXPECT_GT(site_evaluations(), 0) << "vacuous case: the site never fired";
   EXPECT_EQ(census(runtime), census0);
+}
+
+void run_engine_case(FaultSite site, bool delay_mode) {
+  if (site == FaultSite::kQueuePop) {
+    run_engine_case<paper::PipeSynthesizer>(site, delay_mode);
+  } else {
+    run_engine_case<core::DncSynthesizer>(site, delay_mode);
+  }
 }
 
 TEST(FaultMatrix, EngineEverySiteThrowMode) {

@@ -22,6 +22,7 @@
 #include "core/tile_store.hpp"
 #include "field/analytic.hpp"
 #include "field/fingerprint.hpp"
+#include "paper/pipe_synthesizer.hpp"
 #include "particles/particle_system.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -219,60 +220,74 @@ TEST(IncrementalFuzz, ManyTilesWithStealing) {
 }
 
 TEST(TiledEngine, FullAndPlannedFramesMatchContiguousAndSerialBitwise) {
-  // Bent spots on a 3x3 grid (160x160): ribbons straddle tile edges, so
-  // composing a tile from the participants' partials has to get shared
-  // spots exactly right. Each frame, a tiled engine at 1 and at 4
-  // processors renders fully and through SynthesisCache, and all four must
-  // match the contiguous engine and SerialSynthesizer bit for bit.
-  SynthesisConfig sc = small_synthesis(160);
-  sc.kind = core::SpotKind::kBent;
-  sc.bent.mesh_cols = 8;
-  sc.bent.mesh_rows = 3;
-  sc.bent.length_px = 24.0;
-  const auto field = make_field();
-  util::Rng rng(808);
-  std::vector<SpotInstance> spots = random_spots(rng, 300);
+  // A 3x3 grid (160x160): bent ribbons straddle tile edges, so composing a
+  // tile from the participants' partials has to get shared spots exactly
+  // right. Each frame, a tiled engine at 1 and at 4 processors renders
+  // fully and through SynthesisCache, an untiled engine at 1 and at 4
+  // processors renders fully, and all six must match the paper model's
+  // contiguous gather-blend and SerialSynthesizer bit for bit — for
+  // ellipse and bent spots.
+  for (const core::SpotKind kind : {core::SpotKind::kEllipse, core::SpotKind::kBent}) {
+    const char* kind_name = kind == core::SpotKind::kBent ? "bent" : "ellipse";
+    SynthesisConfig sc = small_synthesis(160);
+    sc.kind = kind;
+    sc.bent.mesh_cols = 8;
+    sc.bent.mesh_rows = 3;
+    sc.bent.length_px = 24.0;
+    const auto field = make_field();
+    util::Rng rng(808);
+    std::vector<SpotInstance> spots = random_spots(rng, 300);
 
-  DncConfig contiguous_cfg;
-  contiguous_cfg.processors = 4;
-  contiguous_cfg.pipes = 2;
-  DncSynthesizer contiguous(sc, contiguous_cfg);
-  core::SerialSynthesizer serial(sc);
-  struct Tiled {
-    std::unique_ptr<DncSynthesizer> full;
-    std::unique_ptr<DncSynthesizer> planned;
-    SynthesisCache cache;
-  };
-  std::vector<Tiled> tiled(2);
-  for (std::size_t i = 0; i < tiled.size(); ++i) {
-    const DncConfig dnc = tiled_config(i == 0 ? 1 : 4);
-    tiled[i].full = std::make_unique<DncSynthesizer>(sc, dnc);
-    tiled[i].planned = std::make_unique<DncSynthesizer>(sc, dnc);
-  }
-  std::int64_t reused = 0;
-  for (int frame = 0; frame < 6; ++frame) {
-    contiguous.synthesize(*field, spots);
-    serial.synthesize(*field, spots, 1);
-    ASSERT_EQ(contiguous.texture(), serial.texture()) << "frame " << frame;
+    DncConfig contiguous_cfg;
+    contiguous_cfg.processors = 4;
+    contiguous_cfg.pipes = 2;
+    paper::PipeSynthesizer contiguous(sc, contiguous_cfg);
+    core::SerialSynthesizer serial(sc);
+    struct Tiled {
+      std::unique_ptr<DncSynthesizer> full;
+      std::unique_ptr<DncSynthesizer> planned;
+      SynthesisCache cache;
+    };
+    std::vector<Tiled> tiled(2);
+    std::vector<std::unique_ptr<DncSynthesizer>> untiled;
     for (std::size_t i = 0; i < tiled.size(); ++i) {
-      Tiled& t = tiled[i];
-      t.full->synthesize(*field, spots);
-      const SynthesisCache::Decision d = t.cache.plan(*t.planned, *field, spots);
-      reused += t.planned->synthesize(*field, spots, d.incremental ? &d.plan : nullptr)
-                    .tiles_reused;
-      t.cache.commit(*t.planned, *field, std::vector<SpotInstance>(spots));
-      EXPECT_EQ(t.full->texture(), serial.texture()) << "full, frame " << frame;
-      EXPECT_EQ(t.planned->texture(), serial.texture()) << "planned, frame " << frame;
+      const DncConfig dnc = tiled_config(i == 0 ? 1 : 4);
+      tiled[i].full = std::make_unique<DncSynthesizer>(sc, dnc);
+      tiled[i].planned = std::make_unique<DncSynthesizer>(sc, dnc);
+      DncConfig flat = dnc;
+      flat.tiled = false;
+      untiled.push_back(std::make_unique<DncSynthesizer>(sc, flat));
     }
-    // Stir the spots inside the swirl core only; the rest of the texture
-    // holds still and its tiles are retained.
-    for (auto& s : spots) {
-      const double dx = s.position.x - 1.0;
-      const double dy = s.position.y - 1.0;
-      if (dx * dx + dy * dy < 0.36) s.position = {1.0 - 0.9 * dy, 1.0 + 0.9 * dx};
+    std::int64_t reused = 0;
+    for (int frame = 0; frame < 6; ++frame) {
+      contiguous.synthesize(*field, spots);
+      serial.synthesize(*field, spots, 1);
+      ASSERT_EQ(contiguous.texture(), serial.texture()) << kind_name << ", frame " << frame;
+      for (std::size_t i = 0; i < tiled.size(); ++i) {
+        Tiled& t = tiled[i];
+        t.full->synthesize(*field, spots);
+        const SynthesisCache::Decision d = t.cache.plan(*t.planned, *field, spots);
+        reused += t.planned->synthesize(*field, spots, d.incremental ? &d.plan : nullptr)
+                      .tiles_reused;
+        t.cache.commit(*t.planned, *field, std::vector<SpotInstance>(spots));
+        untiled[i]->synthesize(*field, spots);
+        EXPECT_EQ(t.full->texture(), serial.texture())
+            << kind_name << ", full, frame " << frame;
+        EXPECT_EQ(t.planned->texture(), serial.texture())
+            << kind_name << ", planned, frame " << frame;
+        EXPECT_EQ(untiled[i]->texture(), serial.texture())
+            << kind_name << ", untiled, frame " << frame;
+      }
+      // Stir the spots inside the swirl core only; the rest of the texture
+      // holds still and its tiles are retained.
+      for (auto& s : spots) {
+        const double dx = s.position.x - 1.0;
+        const double dy = s.position.y - 1.0;
+        if (dx * dx + dy * dy < 0.36) s.position = {1.0 - 0.9 * dy, 1.0 + 0.9 * dx};
+      }
     }
+    EXPECT_GT(reused, 0) << kind_name << ": the planned engines never retained a tile";
   }
-  EXPECT_GT(reused, 0) << "the planned engines never retained a tile";
 }
 
 // ------------------------------------- content-addressed cache + planning ---

@@ -1,6 +1,6 @@
 // Tests for the load-balanced scheduler: StealableWorkCounter semantics,
-// cross-group work-stealing equivalence against the serial baseline,
-// worker-exception propagation, the Runtime::parallel data-parallel
+// the paper model's cross-group work-stealing equivalence against the
+// serial baseline, worker-exception propagation in both engines, the Runtime::parallel data-parallel
 // primitive, the raster/tiling bound fixes that rode along with the
 // scheduler PR, and the row-grid tile index checked against a brute-force
 // scan.
@@ -25,7 +25,9 @@
 #include "core/spot_source.hpp"
 #include "core/tiling.hpp"
 #include "field/analytic.hpp"
+#include "paper/pipe_synthesizer.hpp"
 #include "render/framebuffer.hpp"
+#include "render/pipe.hpp"
 #include "render/rasterizer.hpp"
 #include "render/spot_profile.hpp"
 #include "util/error.hpp"
@@ -165,9 +167,9 @@ TEST(StealableWorkCounter, RejectsTotalsBeyondThePackedWidth) {
 // -------------------------------------------- stealing equivalence vs serial ---
 
 // Work stealing re-routes which pipe renders which spot, but the blend is a
-// sum (contiguous) or a disjoint copy (tiled), so the result must match the
-// serial baseline up to float summation order — for every mode, pipe count,
-// and spot distribution.
+// sum, so the paper model must match the serial baseline up to float
+// summation order — for every pipe count and spot distribution, as must
+// the served engine in both modes.
 TEST(Scheduling, StealingMatchesSerialAcrossModesAndPipeCounts) {
   const auto config = small_config();
   const Rect domain{0, 0, 2, 2};
@@ -183,20 +185,26 @@ TEST(Scheduling, StealingMatchesSerialAcrossModesAndPipeCounts) {
                                    }();
     serial.synthesize(*f, spots);
     const double sigma = render::texture_stddev(serial.texture());
+    const auto check = [&](const render::Framebuffer& texture, const std::string& what) {
+      EXPECT_LT(max_abs_difference(serial.texture(), texture), 1e-4 * sigma + 1e-6)
+          << (clustered ? "clustered" : "uniform") << " spots, " << what;
+    };
+    for (const int pipes : {1, 2, 4}) {
+      core::DncConfig dnc;
+      dnc.processors = 4;
+      dnc.pipes = pipes;
+      dnc.steal = true;
+      paper::PipeSynthesizer model(config, dnc);
+      model.synthesize(*f, spots);
+      check(model.texture(), "paper model, " + std::to_string(pipes) + " pipes");
+    }
     for (const bool tiled : {false, true}) {
-      for (const int pipes : {1, 2, 4}) {
-        core::DncConfig dnc;
-        dnc.processors = 4;
-        dnc.pipes = pipes;
-        dnc.tiled = tiled;
-        dnc.steal = true;
-        core::DncSynthesizer engine(config, dnc);
-        engine.synthesize(*f, spots);
-        EXPECT_LT(max_abs_difference(serial.texture(), engine.texture()),
-                  1e-4 * sigma + 1e-6)
-            << (clustered ? "clustered" : "uniform") << " spots, "
-            << (tiled ? "tiled" : "contiguous") << " mode, " << pipes << " pipes";
-      }
+      core::DncConfig dnc;
+      dnc.processors = 4;
+      dnc.tiled = tiled;
+      core::DncSynthesizer engine(config, dnc);
+      engine.synthesize(*f, spots);
+      check(engine.texture(), tiled ? "served, tiled" : "served, untiled");
     }
   }
 }
@@ -211,7 +219,7 @@ TEST(Scheduling, ContiguousStealingConservesGeometry) {
   core::DncConfig dnc;
   dnc.processors = 4;
   dnc.pipes = 4;
-  core::DncSynthesizer engine(config, dnc);
+  paper::PipeSynthesizer engine(config, dnc);
   const auto stats = engine.synthesize(*f, spots);
   std::int64_t vertices = 0;
   for (int g = 0; g < dnc.pipes; ++g) vertices += engine.pipe_stats(g).vertices;
@@ -221,7 +229,10 @@ TEST(Scheduling, ContiguousStealingConservesGeometry) {
 
 TEST(Scheduling, ModeledCriticalPathIsConsistent) {
   // The eq. 3.2 model: critical paths are maxima of per-component CPU
-  // times, and the modeled frame is assign + max(genP, genT) + gather.
+  // times. In the paper model generation overlaps the pipes, so the modeled
+  // frame is assign + max(genP, genT) + gather; a served participant
+  // rasterizes what it generated, so its critical path is at least the
+  // larger of the two and at most their sum.
   const auto config = small_config();
   const Rect domain{0, 0, 2, 2};
   const auto f = field::analytic::taylor_green(1.0, domain);
@@ -229,8 +240,8 @@ TEST(Scheduling, ModeledCriticalPathIsConsistent) {
   core::DncConfig dnc;
   dnc.processors = 4;
   dnc.pipes = 2;
-  core::DncSynthesizer engine(config, dnc);
-  const auto stats = engine.synthesize(*f, spots);
+  paper::PipeSynthesizer model(config, dnc);
+  const auto stats = model.synthesize(*f, spots);
   EXPECT_GT(stats.genP_critical_seconds, 0.0);
   EXPECT_GT(stats.genT_critical_seconds, 0.0);
   EXPECT_LE(stats.genP_critical_seconds, stats.genP_seconds + 1e-12);
@@ -241,6 +252,14 @@ TEST(Scheduling, ModeledCriticalPathIsConsistent) {
                   stats.gather_seconds,
               1e-12);
   EXPECT_GT(stats.modeled_textures_per_second(), 0.0);
+
+  core::DncSynthesizer engine(config, dnc);
+  const auto served = engine.synthesize(*f, spots);
+  const double overhead = served.assign_seconds + served.gather_seconds;
+  EXPECT_GE(served.modeled_frame_seconds - overhead + 1e-12,
+            std::max(served.genP_critical_seconds, served.genT_critical_seconds));
+  EXPECT_LE(served.modeled_frame_seconds - overhead,
+            served.genP_critical_seconds + served.genT_critical_seconds + 1e-12);
 }
 
 // ------------------------------------------------- worker exception protocol ---
@@ -263,86 +282,108 @@ TEST(Scheduling, WorkerExceptionRethrownOnCallerAndEngineStaysUsable) {
   const auto bad = faulty_field(domain);
   util::Rng rng(config.seed);
   const auto spots = core::make_random_spots(domain, config.spot_count, rng);
+  core::SerialSynthesizer serial(config);
+  serial.synthesize(*good, spots);
+  const double sigma = render::texture_stddev(serial.texture());
 
+  core::DncConfig dnc;
+  dnc.processors = 4;
+  dnc.pipes = 2;  // the paper model: masters and producers both in play
+  // Without the exception protocol these calls never return: the throwing
+  // worker leaves the frame and synthesize() waits forever. The frame is
+  // abandoned cleanly: the same engine must still produce correct frames
+  // afterwards.
+  {
+    paper::PipeSynthesizer model(config, dnc);
+    EXPECT_THROW(model.synthesize(*bad, spots), util::Error) << "paper model";
+    model.synthesize(*good, spots);
+    EXPECT_LT(max_abs_difference(serial.texture(), model.texture()),
+              1e-4 * sigma + 1e-6)
+        << "paper model";
+  }
   for (const bool tiled : {false, true}) {
-    core::DncConfig dnc;
-    dnc.processors = 4;
-    dnc.pipes = 2;  // masters and slaves both in play
     dnc.tiled = tiled;
     core::DncSynthesizer engine(config, dnc);
-    // Without the exception protocol this call never returns: the throwing
-    // worker skips the end barrier and synthesize() waits forever.
     EXPECT_THROW(engine.synthesize(*bad, spots), util::Error)
-        << (tiled ? "tiled" : "contiguous");
-    // The frame was abandoned cleanly: the same engine must still produce
-    // correct frames afterwards.
-    core::SerialSynthesizer serial(config);
-    serial.synthesize(*good, spots);
+        << (tiled ? "tiled" : "untiled");
     engine.synthesize(*good, spots);
-    const double sigma = render::texture_stddev(serial.texture());
-    EXPECT_LT(max_abs_difference(serial.texture(), engine.texture()),
-              1e-4 * sigma + 1e-6)
-        << (tiled ? "tiled" : "contiguous");
+    EXPECT_EQ(serial.texture(), engine.texture()) << (tiled ? "tiled" : "untiled");
   }
 }
 
 TEST(TiledEngine, ThrowingFieldReturnsEveryPartialAndTheNextFrameRenders) {
-  // Tiled participants rasterize into pooled full-texture partials; a
+  // Participants rasterize into pooled full-texture partials; a
   // participant whose field throws mid-chunk must hand its partial back,
   // and so must every participant that finished before the failure
-  // surfaced. Processors 1 runs the frame inline on the caller, 4 spreads
-  // it over the pool.
-  const auto config = small_config();
+  // surfaced — tiled or untiled, ellipse or bent spots. Processors 1 runs
+  // the frame inline on the caller, 4 spreads it over the pool.
   const Rect domain{0, 0, 2, 2};
   const auto good = field::analytic::taylor_green(1.0, domain);
   const auto bad = faulty_field(domain);
-  util::Rng rng(config.seed);
-  const auto spots = core::make_random_spots(domain, config.spot_count, rng);
-  core::SerialSynthesizer serial(config);
-  serial.synthesize(*good, spots);
+  for (const core::SpotKind kind : {core::SpotKind::kEllipse, core::SpotKind::kBent}) {
+    auto config = small_config();
+    config.kind = kind;
+    config.bent.mesh_cols = 8;
+    config.bent.mesh_rows = 3;
+    config.bent.length_px = 24.0;
+    util::Rng rng(config.seed);
+    const auto spots = core::make_random_spots(domain, config.spot_count, rng);
+    core::SerialSynthesizer serial(config);
+    serial.synthesize(*good, spots);
 
-  for (const int processors : {1, 4}) {
-    core::Runtime runtime({.workers = 3});
-    core::DncConfig dnc;
-    dnc.processors = processors;
-    dnc.chunk_spots = 16;
-    dnc.tiled = true;
-    core::DncSynthesizer engine(config, dnc, runtime);
-    const std::int64_t outstanding = runtime.framebuffers().outstanding_count();
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      EXPECT_THROW(engine.synthesize(*bad, spots), util::Error)
-          << processors << " processors";
-      EXPECT_EQ(runtime.framebuffers().outstanding_count(), outstanding)
-          << processors << " processors: a partial leaked";
+    for (const bool tiled : {true, false}) {
+      for (const int processors : {1, 4}) {
+        const std::string what = std::string(kind == core::SpotKind::kBent ? "bent" : "ellipse") +
+                                 (tiled ? ", tiled, " : ", untiled, ") +
+                                 std::to_string(processors) + " processors";
+        core::Runtime runtime({.workers = 3});
+        core::DncConfig dnc;
+        dnc.processors = processors;
+        dnc.chunk_spots = 16;
+        dnc.tiled = tiled;
+        core::DncSynthesizer engine(config, dnc, runtime);
+        const std::int64_t outstanding = runtime.framebuffers().outstanding_count();
+        for (int attempt = 0; attempt < 3; ++attempt) {
+          EXPECT_THROW(engine.synthesize(*bad, spots), util::Error) << what;
+          EXPECT_EQ(runtime.framebuffers().outstanding_count(), outstanding)
+              << what << ": a partial leaked";
+        }
+        engine.synthesize(*good, spots);
+        EXPECT_EQ(engine.texture(), serial.texture()) << what;
+        EXPECT_EQ(runtime.framebuffers().outstanding_count(), outstanding) << what;
+      }
     }
-    engine.synthesize(*good, spots);
-    EXPECT_EQ(engine.texture(), serial.texture()) << processors << " processors";
-    EXPECT_EQ(runtime.framebuffers().outstanding_count(), outstanding);
   }
 }
 
 TEST(TiledEngine, AcquiresNoPipe) {
-  // Tiled mode renders on the runtime pool: `pipes` does not start or
-  // borrow a single pipe server thread, whatever it says.
+  // The served engine renders on the runtime pool, tiled or not: `pipes`
+  // does not start a single pipe server thread, whatever it says.
   const auto config = small_config();
   const Rect domain{0, 0, 2, 2};
   const auto f = field::analytic::taylor_green(1.0, domain);
   util::Rng rng(config.seed);
   const auto spots = core::make_random_spots(domain, config.spot_count, rng);
   core::Runtime runtime({.workers = 2});
-  const std::int64_t created = runtime.pipes_created();
-  const std::int64_t reused = runtime.pipes_reused();
-  {
+  const std::int64_t created = render::GraphicsPipe::created_count();
+  for (const bool tiled : {true, false}) {
     core::DncConfig dnc;
     dnc.processors = 4;
     dnc.pipes = 4;
-    dnc.tiled = true;
+    dnc.tiled = tiled;
     core::DncSynthesizer engine(config, dnc, runtime);
+    EXPECT_EQ(engine.rasterizers(), dnc.processors);
     for (int frame = 0; frame < 3; ++frame) (void)engine.synthesize(*f, spots);
-    EXPECT_THROW((void)engine.pipe_stats(0), util::Error);
   }
-  EXPECT_EQ(runtime.pipes_created(), created);
-  EXPECT_EQ(runtime.pipes_reused(), reused);
+  EXPECT_EQ(render::GraphicsPipe::created_count(), created);
+  // The counter does count: the paper model starts one pipe per group.
+  {
+    core::DncConfig dnc;
+    dnc.processors = 4;
+    dnc.pipes = 2;
+    paper::PipeSynthesizer model(config, dnc, runtime);
+  }
+  EXPECT_EQ(render::GraphicsPipe::created_count(), created + 2);
 }
 
 // ------------------------------------------------ Runtime::parallel primitive ---

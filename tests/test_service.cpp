@@ -2,9 +2,8 @@
 // synthesis service: concurrent-session determinism (content hashes match
 // serial one-at-a-time runs bitwise), scheduling order (priority + FIFO
 // fairness), queue-wait accounting, cancellation before and mid-frame,
-// shutdown with pending jobs, session-local failure isolation, and the
-// device pools (pipe reuse via resize_target, framebuffer checkout
-// hygiene).
+// shutdown with pending jobs, session-local failure isolation, framebuffer
+// checkout hygiene, and a served path without pipes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +22,7 @@
 #include "render/compose.hpp"
 #include "render/framebuffer_pool.hpp"
 #include "render/image.hpp"
+#include "render/pipe.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -796,34 +796,31 @@ TEST(FramebufferPool, RecycledBufferCannotLeakIntoRetentionCompose) {
   }
 }
 
-TEST(Runtime, PipePoolReusesReleasedPipes) {
-  core::Runtime runtime;
-  const std::int64_t created_before = runtime.pipes_created();
-  auto config = small_config();
+TEST(SynthesisService, UntiledSessionAcquiresNoPipe) {
+  // An untiled session asking for pipes is served on the runtime pool: no
+  // pipe server thread starts, and its frames match the serial bits.
+  const Rect domain{0, 0, 2, 2};
+  const auto f = field::analytic::taylor_green(1.0, domain);
+  const auto config = small_config();
+  const auto spots = test_spots(config, domain);
+  core::SerialSynthesizer serial(config);
+  serial.synthesize(*f, spots);
   core::DncConfig dnc = small_dnc();
+  dnc.processors = 4;
+  dnc.pipes = 4;
+  const std::int64_t created = render::GraphicsPipe::created_count();
   {
-    core::DncSynthesizer engine(config, dnc, runtime);
+    SynthesisService service({.drivers = 2});
+    const auto id = service.open_session(config, dnc);
+    for (int frame = 0; frame < 3; ++frame) {
+      core::SynthesisRequest req;
+      req.field = f.get();
+      req.spots = spots;
+      const core::SynthesisResult result = service.submit(id, std::move(req)).result.get();
+      EXPECT_EQ(result.content_hash, serial.texture().content_hash()) << "frame " << frame;
+    }
   }
-  const std::int64_t created_once = runtime.pipes_created() - created_before;
-  EXPECT_GE(created_once, 1);
-  {
-    // Same behavioral config, different texture size: the pooled pipe is
-    // reshaped via resize_target instead of constructing a new one.
-    auto bigger = config;
-    bigger.texture_width = 128;
-    bigger.texture_height = 64;
-    core::DncSynthesizer engine(bigger, dnc, runtime);
-    const Rect domain{0, 0, 2, 2};
-    const auto f = field::analytic::taylor_green(1.0, domain);
-    const auto spots = test_spots(bigger, domain);
-    engine.synthesize(*f, spots);
-    EXPECT_EQ(engine.texture().width(), 128);
-    EXPECT_GT(render::texture_stddev(engine.texture()), 0.0);
-  }
-  EXPECT_GT(runtime.pipes_reused(), 0)
-      << "the second session must reuse the released pipe";
-  EXPECT_EQ(runtime.pipes_created() - created_before, created_once)
-      << "no new pipe should be constructed for a matching config";
+  EXPECT_EQ(render::GraphicsPipe::created_count(), created);
 }
 
 TEST(Runtime, SessionsOnPrivateRuntimeProduceIdenticalBits) {

@@ -1,6 +1,6 @@
-// Tests for the serial baseline and the divide-and-conquer engine: texture
-// statistics, equivalence between all execution strategies, tiling
-// correctness, and the engine's bookkeeping.
+// Tests for the serial baseline, the served divide-and-conquer engine and
+// the paper's pipe model: texture statistics, equivalence between all
+// execution strategies, tiling correctness, and the engines' bookkeeping.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 #include "core/serial_synthesizer.hpp"
 #include "core/spot_source.hpp"
 #include "field/analytic.hpp"
+#include "paper/pipe_synthesizer.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -188,12 +189,17 @@ TEST(DncSynthesizer, MatchesSerialBaseline) {
     core::DncConfig dnc;
     dnc.processors = nP;
     dnc.pipes = nG;
+    const double sigma = render::texture_stddev(serial.texture());
     core::DncSynthesizer engine(config, dnc);
     engine.synthesize(*f, spots);
-    const double sigma = render::texture_stddev(serial.texture());
     EXPECT_LT(max_abs_difference(serial.texture(), engine.texture()),
               1e-4 * sigma + 1e-6)
-        << "nP=" << nP << " nG=" << nG;
+        << "nP=" << nP;
+    paper::PipeSynthesizer model(config, dnc);
+    model.synthesize(*f, spots);
+    EXPECT_LT(max_abs_difference(serial.texture(), model.texture()),
+              1e-4 * sigma + 1e-6)
+        << "paper model, nP=" << nP << " nG=" << nG;
   }
 }
 
@@ -215,10 +221,19 @@ TEST(DncSynthesizer, TiledMatchesSerialBaseline) {
   const double sigma = render::texture_stddev(serial.texture());
   EXPECT_LT(max_abs_difference(serial.texture(), engine.texture()),
             1e-4 * sigma + 1e-6);
-  // Boundary spots land in several tiles' lists, but each is generated
-  // and rasterized once.
-  EXPECT_GT(stats.duplicated_spots, 0);
+  // A frame with nothing to reuse renders every spot once and skips the
+  // per-tile assignment, so no tile lists (and no duplicates) exist.
+  EXPECT_EQ(stats.duplicated_spots, 0);
   EXPECT_EQ(stats.spots_submitted, stats.spots);
+  // With the tile cache on, boundary spots land in several tiles' lists,
+  // but each is still generated and rasterized once.
+  core::Runtime runtime;
+  dnc.tile_cache = true;
+  core::DncSynthesizer cached(config, dnc, runtime);
+  const auto cached_stats = cached.synthesize(*f, spots);
+  EXPECT_EQ(cached.texture(), engine.texture());
+  EXPECT_GT(cached_stats.duplicated_spots, 0);
+  EXPECT_EQ(cached_stats.spots_submitted, cached_stats.spots);
 }
 
 TEST(DncSynthesizer, BentSpotsMatchSerial) {
@@ -245,8 +260,8 @@ TEST(DncSynthesizer, BentSpotsMatchSerial) {
 }
 
 TEST(DncSynthesizer, RepeatedFramesAreStable) {
-  // Process groups persist across frames; re-synthesizing the same input
-  // must give the same texture (pipes cleared, queues drained).
+  // Engines persist across frames; re-synthesizing the same input must
+  // give the same texture (partials cleared, nothing carried over).
   const auto config = small_config();
   const Rect domain{0, 0, 2, 2};
   const auto f = field::analytic::taylor_green(1.0, domain);
@@ -271,24 +286,31 @@ TEST(DncSynthesizer, StatsAccounting) {
   dnc.processors = 2;
   dnc.pipes = 2;
   core::DncSynthesizer engine(config, dnc);
-  const auto stats = engine.synthesize(*f, spots);
+  paper::PipeSynthesizer model(config, dnc);
+  const core::FrameStats served = engine.synthesize(*f, spots);
+  const core::FrameStats modeled = model.synthesize(*f, spots);
 
-  EXPECT_EQ(stats.spots, config.spot_count);
-  EXPECT_GT(stats.genP_seconds, 0.0);
-  EXPECT_GT(stats.genT_seconds, 0.0);
-  EXPECT_GT(stats.gather_seconds, 0.0);
-  EXPECT_GT(stats.frame_seconds, 0.0);
-  // Ellipse spots: 4 vertices each.
-  EXPECT_EQ(stats.vertices, config.spot_count * 4);
-  // Geometry traffic: vertices plus headers.
-  EXPECT_EQ(stats.geometry_bytes,
-            static_cast<std::uint64_t>(stats.vertices) * sizeof(render::MeshVertex) +
-                static_cast<std::uint64_t>(config.spot_count) *
-                    sizeof(render::MeshHeader));
-  // Readback: both pipes return a full texture.
-  EXPECT_EQ(stats.readback_bytes, 2u * 128u * 128u * sizeof(float));
-  EXPECT_GT(stats.raster.fragments, 0);
-  EXPECT_DOUBLE_EQ(stats.textures_per_second(), 1.0 / stats.frame_seconds);
+  for (const core::FrameStats& stats : {served, modeled}) {
+    EXPECT_EQ(stats.spots, config.spot_count);
+    EXPECT_GT(stats.genP_seconds, 0.0);
+    EXPECT_GT(stats.genT_seconds, 0.0);
+    EXPECT_GT(stats.gather_seconds, 0.0);
+    EXPECT_GT(stats.frame_seconds, 0.0);
+    // Ellipse spots: 4 vertices each.
+    EXPECT_EQ(stats.vertices, config.spot_count * 4);
+    // Geometry traffic: vertices plus headers.
+    EXPECT_EQ(stats.geometry_bytes,
+              static_cast<std::uint64_t>(stats.vertices) * sizeof(render::MeshVertex) +
+                  static_cast<std::uint64_t>(config.spot_count) *
+                      sizeof(render::MeshHeader));
+    EXPECT_GT(stats.raster.fragments, 0);
+    EXPECT_DOUBLE_EQ(stats.textures_per_second(), 1.0 / stats.frame_seconds);
+  }
+  // Compose: the served engine sums its partials into one texture; both
+  // pipes of the paper model read back a full texture.
+  EXPECT_EQ(served.readback_bytes, 128u * 128u * sizeof(float));
+  EXPECT_EQ(modeled.readback_bytes, 2u * 128u * 128u * sizeof(float));
+  EXPECT_EQ(served.raster.fragments, modeled.raster.fragments);
 }
 
 TEST(DncSynthesizer, MorePipesSplitWorkEvenly) {
@@ -300,7 +322,7 @@ TEST(DncSynthesizer, MorePipesSplitWorkEvenly) {
   dnc.processors = 4;
   dnc.pipes = 4;
   dnc.steal = false;  // the even split is a static-partition property
-  core::DncSynthesizer engine(config, dnc);
+  paper::PipeSynthesizer engine(config, dnc);
   engine.synthesize(*f, spots);
   // Each pipe should have received about a quarter of the vertices.
   for (int g = 0; g < 4; ++g) {
@@ -320,7 +342,7 @@ TEST(DncSynthesizer, BusModelAccountsTraffic) {
   dnc.processors = 2;
   dnc.pipes = 1;
   dnc.bus_bytes_per_second = 4.0e9;  // fast enough not to slow the test
-  core::DncSynthesizer engine(config, dnc);
+  paper::PipeSynthesizer engine(config, dnc);
   const auto stats = engine.synthesize(*f, spots);
   EXPECT_GT(stats.geometry_bytes, 0u);
   EXPECT_GT(stats.readback_bytes, 0u);
@@ -335,7 +357,7 @@ TEST(DncSynthesizer, StateChangeCostIsCharged) {
   dnc.processors = 1;
   dnc.pipes = 1;
   dnc.state_change_seconds = 1e-3;
-  core::DncSynthesizer engine(config, dnc);
+  paper::PipeSynthesizer engine(config, dnc);
   // Setup binds profile + blend mode; those fall before the first frame's
   // reset_stats, so issue a frame and check state time is counted per frame
   // only when state changes happen (none mid-frame by default).
@@ -348,13 +370,19 @@ TEST(DncSynthesizer, RejectsInvalidConfigs) {
   core::DncConfig dnc;
   dnc.processors = 1;
   dnc.pipes = 2;  // a pipe without a master is not a process group
-  EXPECT_THROW(core::DncSynthesizer(config, dnc), util::Error);
+  EXPECT_THROW(paper::PipeSynthesizer(config, dnc), util::Error);
   dnc.pipes = 0;
-  EXPECT_THROW(core::DncSynthesizer(config, dnc), util::Error);
+  EXPECT_THROW(paper::PipeSynthesizer(config, dnc), util::Error);
   dnc.pipes = 1;
+  dnc.tiled = true;  // the pipe model has no render grid
+  EXPECT_THROW(paper::PipeSynthesizer(config, dnc), util::Error);
+  dnc.tiled = false;
+  dnc.processors = 0;
+  EXPECT_THROW(core::DncSynthesizer(config, dnc), util::Error);
   dnc.processors = 1;
   dnc.chunk_spots = 0;
   EXPECT_THROW(core::DncSynthesizer(config, dnc), util::Error);
+  EXPECT_THROW(paper::PipeSynthesizer(config, dnc), util::Error);
 }
 
 TEST(DncSynthesizer, EmptySpotSet) {
@@ -373,7 +401,8 @@ TEST(DncSynthesizer, EmptySpotSet) {
 }
 
 TEST(DncSynthesizer, ManyFramesNoLeaksOrDeadlocks) {
-  // Soak the frame loop: barriers, queues and fences must cycle cleanly.
+  // Soak the frame loop of both engines: pool jobs, partials, queues and
+  // fences must cycle cleanly.
   auto config = small_config();
   config.spot_count = 50;
   const Rect domain{0, 0, 2, 2};
@@ -381,11 +410,12 @@ TEST(DncSynthesizer, ManyFramesNoLeaksOrDeadlocks) {
   const auto spots = test_spots(config, domain);
   core::DncConfig dnc;
   dnc.processors = 3;
-  dnc.pipes = 2;  // uneven groups: 2 workers + 1 worker
+  dnc.pipes = 2;  // the paper model: uneven groups, 2 workers + 1 worker
   core::DncSynthesizer engine(config, dnc);
+  paper::PipeSynthesizer model(config, dnc);
   for (int frame = 0; frame < 50; ++frame) {
-    const auto stats = engine.synthesize(*f, spots);
-    ASSERT_EQ(stats.spots, 50);
+    ASSERT_EQ(engine.synthesize(*f, spots).spots, 50);
+    ASSERT_EQ(model.synthesize(*f, spots).spots, 50);
   }
 }
 

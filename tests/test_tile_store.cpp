@@ -18,6 +18,7 @@
 // (ctest label: cache).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -335,6 +336,28 @@ TEST(TileStore, SpotSubsetHashDistinguishesSubsetsAndCounts) {
             core::hash_spot_subset(spots, prefix));
   EXPECT_NE(core::hash_spot_subset(spots, {}),
             core::hash_spot_subset(spots, prefix));
+
+  // One flipped bit in any field of any entry changes the key: low
+  // mantissa, high mantissa, exponent and sign bits of x, y and intensity.
+  const std::uint64_t base = core::hash_spot_subset(spots, a);
+  const auto flipped = [](double v, int bit) {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) ^ (std::uint64_t{1} << bit));
+  };
+  for (const std::int64_t entry : a) {
+    for (const int bit : {0, 1, 31, 51, 52, 62, 63}) {
+      for (int field = 0; field < 3; ++field) {
+        auto mutated = spots;
+        core::SpotInstance& s = mutated[static_cast<std::size_t>(entry)];
+        double& v = field == 0 ? s.position.x : field == 1 ? s.position.y : s.intensity;
+        v = flipped(v, bit);
+        EXPECT_NE(core::hash_spot_subset(mutated, a), base)
+            << "entry " << entry << ", field " << field << ", bit " << bit;
+      }
+    }
+  }
+  // Swapping two entries of the list changes the key too.
+  const std::vector<std::int64_t> swapped{0, 2, 1};
+  EXPECT_NE(core::hash_spot_subset(spots, swapped), base);
 }
 
 TEST(TileStore, FieldFingerprintSeparatesContentAndFlagsNaN) {
