@@ -170,6 +170,25 @@ TEST(GoldenFrames, VortexBentContiguousSpan) {
               config(2, false, RasterAlgorithm::kSpan));
 }
 
+TEST(GoldenFrames, BentFullVortexSpan) {
+  // The served animation workload at its real size: 512^2, 2500 bent 16x3
+  // spots of 48 px through a Rankine vortex, span path, untiled. Its small
+  // triangles (~13 fragments each) are what the rasterizer's small-triangle
+  // row solve and per-mesh span batching serve.
+  const field::Rect domain{0.0, 0.0, 4.0, 4.0};
+  const auto f = field::analytic::rankine_vortex({2.0, 2.0}, 1.2, 0.8, domain);
+  SynthesisConfig sc = base_synthesis(core::SpotKind::kBent);
+  sc.texture_width = 512;
+  sc.texture_height = 512;
+  sc.spot_count = 2500;
+  sc.spot_radius_px = 8.0;
+  sc.bent.mesh_cols = 16;
+  sc.bent.mesh_rows = 3;
+  sc.bent.length_px = 48.0;
+  check_scene("bent_full_vortex_span", *f, sc,
+              config(2, false, RasterAlgorithm::kSpan));
+}
+
 TEST(GoldenFrames, ShearEllipseCostBalancedReference) {
   const field::Rect domain{0.0, 0.0, 4.0, 4.0};
   const auto f = field::analytic::shear(0.8, domain);
