@@ -137,8 +137,10 @@ void SpotGeometryGenerator::generate_bent(const SpotInstance& spot,
   // Trace half the spine upstream, half downstream, at substep resolution.
   const int fwd_segments = (cols - 1) / 2;
   const int bwd_segments = (cols - 1) - fwd_segments;
-  const particles::Streamline line = tracer_.trace(
-      *field_, spot.position, fwd_segments * substeps, bwd_segments * substeps);
+  // One streamline buffer per thread, reused: a warm trace allocates nothing.
+  thread_local particles::Streamline line;
+  tracer_.trace(*field_, spot.position, fwd_segments * substeps,
+                bwd_segments * substeps, line);
 
   // Keep every substeps-th sample; the rest only improved accuracy.
   struct SpinePoint {

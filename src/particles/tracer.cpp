@@ -34,52 +34,60 @@ class UnitSpeedField final : public field::VectorField {
 
 Streamline StreamlineTracer::trace(const field::VectorField& f, field::Vec2 seed,
                                    int steps_forward, int steps_backward) const {
-  const field::Rect domain = f.domain();
+  Streamline line;
+  trace(f, seed, steps_forward, steps_backward, line);
+  return line;
+}
 
-  auto march = [&](double direction, int steps, std::vector<field::Vec2>& pts,
-                   std::vector<field::Vec2>& tans) {
+void StreamlineTracer::trace(const field::VectorField& f, field::Vec2 seed,
+                             int steps_forward, int steps_backward,
+                             Streamline& out) const {
+  const field::Rect domain = f.domain();
+  out.points.clear();
+  out.tangents.clear();
+  const auto capacity = static_cast<std::size_t>(std::max(steps_forward, 0)) +
+                        static_cast<std::size_t>(std::max(steps_backward, 0)) + 1;
+  out.points.reserve(capacity);
+  out.tangents.reserve(capacity);
+
+  // `v` is the unit march velocity at the current point: the stagnation
+  // check, the step's first RK stage, and — once the step lands — the new
+  // point's tangent, sampled once.
+  auto march = [&](double direction, int steps, field::Vec2 v) {
     const UnitSpeedField unit(f, direction, config_.stagnation_speed);
     field::Vec2 p = seed;
     for (int k = 0; k < steps; ++k) {
-      const field::Vec2 v = unit.sample(p);
       if (v.length_sq() == 0.0) break;  // stagnation
-      const field::Vec2 next = step(unit, p, config_.step_length, config_.method);
+      const field::Vec2 next =
+          step_from(unit, p, v, config_.step_length, config_.method);
       if (config_.clamp_to_domain && !domain.contains(next)) break;
       if ((next - p).length_sq() == 0.0) break;  // no progress
       p = next;
-      pts.push_back(p);
-      tans.push_back(unit.sample(p) * direction);  // flow direction, not march direction
+      v = unit.sample(p);
+      out.points.push_back(p);
+      out.tangents.push_back(v * direction);  // flow direction, not march direction
     }
   };
 
-  std::vector<field::Vec2> fwd_pts, fwd_tans;
-  std::vector<field::Vec2> bwd_pts, bwd_tans;
-  fwd_pts.reserve(static_cast<std::size_t>(std::max(steps_forward, 0)));
-  bwd_pts.reserve(static_cast<std::size_t>(std::max(steps_backward, 0)));
-  march(+1.0, steps_forward, fwd_pts, fwd_tans);
-  march(-1.0, steps_backward, bwd_pts, bwd_tans);
-
-  Streamline line;
-  line.points.reserve(bwd_pts.size() + 1 + fwd_pts.size());
-  line.tangents.reserve(line.points.capacity());
+  // One sample at the seed serves both marches' first velocity (what
+  // UnitSpeedField::sample would return there) and the seed's tangent.
+  const field::Vec2 at_seed = f.sample(seed);
+  const double len = at_seed.length();
+  const auto unit_at_seed = [&](double direction) {
+    return len < config_.stagnation_speed ? field::Vec2{} : at_seed * (direction / len);
+  };
 
   // Upstream points come out seed-first; reverse so the polyline runs
   // upstream -> seed -> downstream.
-  for (auto it = bwd_pts.rbegin(); it != bwd_pts.rend(); ++it) line.points.push_back(*it);
-  for (auto it = bwd_tans.rbegin(); it != bwd_tans.rend(); ++it) line.tangents.push_back(*it);
+  march(-1.0, steps_backward, unit_at_seed(-1.0));
+  std::reverse(out.points.begin(), out.points.end());
+  std::reverse(out.tangents.begin(), out.tangents.end());
 
-  line.seed_index = line.points.size();
-  line.points.push_back(seed);
-  {
-    const field::Vec2 v = f.sample(seed);
-    const double len = v.length();
-    line.tangents.push_back(len >= config_.stagnation_speed ? v / len
-                                                            : field::Vec2{1.0, 0.0});
-  }
-
-  line.points.insert(line.points.end(), fwd_pts.begin(), fwd_pts.end());
-  line.tangents.insert(line.tangents.end(), fwd_tans.begin(), fwd_tans.end());
-  return line;
+  out.seed_index = out.points.size();
+  out.points.push_back(seed);
+  out.tangents.push_back(len >= config_.stagnation_speed ? at_seed / len
+                                                         : field::Vec2{1.0, 0.0});
+  march(+1.0, steps_forward, unit_at_seed(+1.0));
 }
 
 }  // namespace dcsn::particles

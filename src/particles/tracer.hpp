@@ -43,6 +43,14 @@ class StreamlineTracer {
   [[nodiscard]] Streamline trace(const field::VectorField& f, field::Vec2 seed,
                                  int steps_forward, int steps_backward) const;
 
+  /// The same trace into `out`, reusing its buffers' capacity: a caller that
+  /// keeps one Streamline per thread traces without allocating. An RK4
+  /// trace samples the field 4 times per step, plus once at the seed (each
+  /// step's first RK stage is the velocity its stagnation check and the
+  /// previous point's tangent already sampled).
+  void trace(const field::VectorField& f, field::Vec2 seed, int steps_forward,
+             int steps_backward, Streamline& out) const;
+
   [[nodiscard]] const TracerConfig& config() const { return config_; }
 
  private:

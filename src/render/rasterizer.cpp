@@ -1,10 +1,16 @@
 #include "render/rasterizer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "util/simd.hpp"
 #include "util/simd_dispatch.hpp"
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace dcsn::render {
 
@@ -60,7 +66,23 @@ struct TriSetup {
   int gx_end = 0;  ///< bbox's exclusive right end in anchor units
   Edge ab, bc, ca;
   float inv_area = 0.0f;
+  float min_x = 0.0f, max_x = 0.0f, min_y = 0.0f, max_y = 0.0f;  ///< extents
+  /// Lower bound on the exact doubled area (<= 0 where rounding could hide
+  /// it); the coverage window's proof divides by it.
+  float area_lo = 0.0f;
 };
+
+// floor/ceil for floats known to lie well inside int range (clamped first):
+// the truncating cast, corrected by one where it rounded the wrong way.
+// Same results as std::floor/std::ceil there, without their branches.
+inline int floor_to_int(float v) {
+  const int t = static_cast<int>(v);
+  return t - static_cast<int>(v < static_cast<float>(t));
+}
+inline int ceil_to_int(float v) {
+  const int t = static_cast<int>(v);
+  return t + static_cast<int>(v > static_cast<float>(t));
+}
 
 // The anchor clamp: 2^22. Keeps float(anchor) + 0.5 exact and every
 // in-target (kx, ky) offset below 2^24, where int -> float is exact. Only
@@ -83,7 +105,9 @@ bool setup_triangle(const RasterTarget& target, MeshVertex a, MeshVertex b,
                     MeshVertex c, TriSetup& s) {
   // Signed doubled area; positive means screen-clockwise (our canonical
   // winding). Flip b/c to normalize — bent-spot ribbons can fold over.
-  float area2 = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
+  const float t1 = (b.x - a.x) * (c.y - a.y);
+  const float t2 = (b.y - a.y) * (c.x - a.x);
+  float area2 = t1 - t2;
   if (area2 == 0.0f || !std::isfinite(area2)) return false;
   if (area2 < 0.0f) {
     std::swap(b, c);
@@ -106,19 +130,26 @@ bool setup_triangle(const RasterTarget& target, MeshVertex a, MeshVertex b,
   }
   // Clamp to the target rect *before* the int cast: a far-off-screen vertex
   // (|coordinate| beyond ~2^31) would make the unclamped cast undefined.
-  s.x_min = static_cast<int>(std::floor(std::clamp(min_x, tx0, tx1 - 1.0f)));
-  s.x_max = static_cast<int>(std::ceil(std::clamp(max_x, tx0, tx1 - 1.0f)));
-  s.y_min = static_cast<int>(std::floor(std::clamp(min_y, ty0, ty1 - 1.0f)));
-  s.y_max = static_cast<int>(std::ceil(std::clamp(max_y, ty0, ty1 - 1.0f)));
+  s.x_min = floor_to_int(std::clamp(min_x, tx0, tx1 - 1.0f));
+  s.x_max = ceil_to_int(std::clamp(max_x, tx0, tx1 - 1.0f));
+  s.y_min = floor_to_int(std::clamp(min_y, ty0, ty1 - 1.0f));
+  s.y_max = ceil_to_int(std::clamp(max_y, ty0, ty1 - 1.0f));
   if (s.x_min > s.x_max || s.y_min > s.y_max) return false;
 
   // Target-independent canonical anchor, and the bbox's own right end in
   // anchor units (the span solver's geometric walk limit).
-  s.ax = static_cast<int>(std::floor(std::clamp(min_x, -kAnchorLimit, kAnchorLimit)));
-  s.ay = static_cast<int>(std::floor(std::clamp(min_y, -kAnchorLimit, kAnchorLimit)));
-  s.gx_end =
-      static_cast<int>(std::ceil(std::clamp(max_x, -kAnchorLimit, kAnchorLimit))) -
-      s.ax + 1;
+  s.ax = floor_to_int(std::clamp(min_x, -kAnchorLimit, kAnchorLimit));
+  s.ay = floor_to_int(std::clamp(min_y, -kAnchorLimit, kAnchorLimit));
+  s.gx_end = ceil_to_int(std::clamp(max_x, -kAnchorLimit, kAnchorLimit)) - s.ax + 1;
+  s.min_x = min_x;
+  s.max_x = max_x;
+  s.min_y = min_y;
+  s.max_y = max_y;
+  // |t_k - exact product| <= 3.02u |t_k| (two subtractions, one multiply),
+  // and the subtraction rounds once more: the exact doubled area is at
+  // least area2 - 4.1u (|t1| + |t2|); 8u leaves room for this line's own
+  // rounding.
+  s.area_lo = area2 - 8.0f * 0x1p-24f * (std::abs(t1) + std::abs(t2));
 
   // Watertightness: adjacent triangles traverse a shared edge in opposite
   // directions. Evaluating both against the *same* canonical endpoint
@@ -214,6 +245,50 @@ void raster_tri_reference(const RasterTarget& target, MeshVertex va, MeshVertex 
 // kSpan: scanline span solve + incremental row kernel.
 // ---------------------------------------------------------------------------
 
+// The SoA span batch: rendered spans accumulate as (dst, span, length)
+// triples and flush through the dispatched tier's batched kernel, so the
+// tier pays its per-call setup once per flush and can pack short spans. One
+// batch lives for a whole rasterize_* call — every triangle of every mesh
+// feeds it — and the kernel table is resolved once per call. Spans of
+// different triangles may overlap (a folded ribbon, overlapping spots);
+// the batched kernels accept that (util/simd_dispatch.hpp), and because
+// every blend is lattice-exact addition or a comparison max, the batched
+// result is the span-by-span result bit for bit.
+class SpanBatch {
+ public:
+  explicit SpanBatch(BlendMode mode)
+      : kernels_(util::simd::kernels()),
+        rows_(mode == BlendMode::kAdditive ? kernels_.sample_rows_add
+                                           : kernels_.sample_rows_max) {}
+  SpanBatch(const SpanBatch&) = delete;
+  SpanBatch& operator=(const SpanBatch&) = delete;
+
+  [[nodiscard]] const util::simd::KernelTable& kernels() const { return kernels_; }
+
+  void push(float* dst, const util::simd::SampleSpan& span, std::uint32_t len) {
+    dst_[count_] = dst;
+    span_[count_] = span;
+    len_[count_] = len;
+    if (++count_ == kCapacity) flush();
+  }
+
+  void flush() {
+    if (count_ == 0) return;
+    rows_(dst_, span_, len_, count_);
+    count_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kCapacity = 128;
+  const util::simd::KernelTable& kernels_;
+  void (*rows_)(float* const*, const util::simd::SampleSpan*, const std::uint32_t*,
+                std::size_t);
+  float* dst_[kCapacity];
+  util::simd::SampleSpan span_[kCapacity];
+  std::uint32_t len_[kCapacity];
+  std::size_t count_ = 0;
+};
+
 // One edge's contribution to a row's covered interval, classified once per
 // triangle by the sign of dy (fixed across the raster):
 //
@@ -229,7 +304,7 @@ void raster_tri_reference(const RasterTarget& target, MeshVertex va, MeshVertex 
 // m < r, or m <= r on a top-left edge.
 //
 // `base + ky * slope` is the x-intercept of the edge's zero line in row ky
-// (the per-triangle divisions buy division-free span seeding in every row).
+// (one reciprocal per edge buys division-free span seeding in every row).
 // Its rounding never matters: the fixup loops in the solver decide with the
 // exact comparison and only walk farther when the seed is off, which the
 // ~1e-4-pixel seed error never causes in practice.
@@ -246,47 +321,341 @@ inline int seed_from(double est, int lo, int hi) {
   return lo;
 }
 
+// The wide-triangle row solver: seeds each sloped edge's boundary from its
+// x-intercept and settles it with the exact admission comparison, walking
+// within the geometric window [gfloor, gceil).
+class WideRowSolve {
+ public:
+  WideRowSolve(const TriSetup& s, int gfloor, int gceil) : gfloor_(gfloor), gceil_(gceil) {
+    for (const Edge* e : {&s.ab, &s.bc, &s.ca}) {
+      RowBound b;
+      b.dy = e->dy;
+      b.dx = e->dx;
+      b.origin = e->origin;
+      b.top_left = e->top_left;
+      if (e->dy == 0.0f) {
+        flat_[n_flat_++] = b;
+        continue;
+      }
+      const double inv_dy = 1.0 / static_cast<double>(e->dy);
+      b.base = static_cast<double>(e->origin) * inv_dy;
+      b.slope = static_cast<double>(e->dx) * inv_dy;
+      if (e->dy > 0.0f) {
+        right_[n_right_++] = b;
+      } else {
+        left_[n_left_++] = b;
+      }
+    }
+  }
+
+  // The geometric covered interval [g_lo, g_hi) of row ky (empty when
+  // g_lo >= g_hi). Each bound's row value r is the same float expression
+  // the reference walk evaluates (edge_row_value), and each boundary is
+  // settled by the exact admission comparison — coverage inside the target
+  // is bit-identical to the reference by construction, and the boundaries
+  // themselves do not depend on where the target clips the row.
+  void solve(int ky, int& g_lo, int& g_hi) const {
+    const float kyf = static_cast<float>(ky);
+    g_lo = gfloor_;
+    g_hi = gceil_;
+    for (int i = 0; i < n_flat_; ++i) {
+      const float r = flat_[i].origin + kyf * flat_[i].dx;
+      if (!(r > 0.0f || (r == 0.0f && flat_[i].top_left))) g_hi = gfloor_;
+    }
+    for (int i = 0; i < n_right_; ++i) {
+      const RowBound& b = right_[i];
+      const float r = b.origin + kyf * b.dx;
+      const auto admits = [&](int kx) {
+        const float m = static_cast<float>(kx) * b.dy;
+        return b.top_left ? (m <= r) : (m < r);
+      };
+      int k = seed_from(b.base + ky * b.slope, gfloor_, gceil_);
+      while (k < gceil_ && admits(k)) ++k;
+      while (k > gfloor_ && !admits(k - 1)) --k;
+      g_hi = std::min(g_hi, k);
+    }
+    for (int i = 0; i < n_left_; ++i) {
+      const RowBound& b = left_[i];
+      const float r = b.origin + kyf * b.dx;
+      const auto admits = [&](int kx) {
+        const float m = static_cast<float>(kx) * b.dy;
+        return b.top_left ? (m <= r) : (m < r);
+      };
+      int k = seed_from(b.base + ky * b.slope, gfloor_, gceil_);
+      while (k < gceil_ && !admits(k)) ++k;
+      while (k > gfloor_ && admits(k - 1)) --k;
+      g_lo = std::max(g_lo, k);
+    }
+  }
+
+ private:
+  RowBound flat_[3], left_[3], right_[3];
+  int n_flat_ = 0, n_left_ = 0, n_right_ = 0;
+  int gfloor_, gceil_;
+};
+
+// The kx frame of a set-up triangle: the rendered window [klo, kend) and
+// the *geometric* solve window [gfloor, gceil), both relative to the
+// canonical anchor. Boundaries are resolved past the target rect (bounded
+// by the bbox and the slack) so the solved span — and the UV rebase
+// anchored at its in-range start — is a pure function of the triangle and
+// the row, identical for every target that clips it.
+struct SpanFrame {
+  int klo = 0, kend = 0, gfloor = 0, gceil = 0;
+};
+
+SpanFrame span_frame(const TriSetup& s) {
+  SpanFrame f;
+  f.klo = s.x_min - s.ax;
+  f.kend = s.x_max - s.ax + 1;
+  f.gfloor = std::max(0, f.klo - kGeomSlack);
+  f.gceil = std::min(s.gx_end, f.kend + kGeomSlack);
+  return f;
+}
+
+// ---------------------------------------------------------------------------
+// Coverage window: the rows and columns whose pixel centres can be covered.
+//
+// The bbox rows floor(min_y)..ceil(max_y) over-cover: the last row's centre
+// always lies below the triangle, and the first row's centre lies above it
+// whenever frac(min_y) > 0.5. On the served bent meshes (~13 fragments per
+// triangle) a third of the bbox rows are empty. The window below walks only
+// rows whose centre lies within a slack `d` of the y-extent, and it is
+// exact: no row (or column) outside it is admitted by the float edge
+// functions.
+//
+// Proof sketch. Let E_i be the exact edge functions of the float vertices,
+// inside-positive, so E_ab + E_bc + E_ca = A (the exact doubled area) at
+// every point. For a point P with y_P = max_y + d, write y_P as the
+// barycentric combination sum (E_i / A) * y_i: the positive weights pull
+// toward y <= max_y, so the negative ones must supply d, and at most two
+// are negative, each bounded by the height H: some E_i(P) <= -A*d / (2H).
+// The computed admission value (r - m, compared exactly) differs from
+// E_i(P) by at most 7u * S_i, u = 2^-24 (five float roundings in the edge
+// expression plus one in each canonical edge direction), where
+//   S_i = |dx_i| * (|py - v.y| + |ky|) + |dy_i| * (|px - v.x| + |kx|).
+// With eps = 16u * max_i S_i (a 2x margin that also absorbs this bound's
+// own double rounding), every P with d > 2H*eps/A has a computed value
+// < 0 on some edge: rejected, top-left edges included. Columns follow by
+// symmetry with the width W. A is bounded from below in double; where the
+// bound degenerates (near-zero area, non-finite values, far off-screen
+// coordinates) the window is the bbox, which is always correct.
+// ---------------------------------------------------------------------------
+
+struct CoverageWindow {
+  int y_lo = 0, y_hi = -1;  ///< global rows to walk, inside [y_min, y_max]
+  int k_lo = 0, k_hi = -1;  ///< anchor-relative columns, inclusive, inside
+                            ///< the geometric solve window
+};
+
+// Starts from the bbox rows and the geometric solve window and trims, from
+// each end, the rows/columns whose centre lies more than d = 2*H*eps/A
+// outside the extent, compared as gap * A > 2*H*eps (no division). With
+// the anchor at the bbox corner, every term of S_i is bounded by the
+// extents W and H: |dx_i| <= W, |dy_i| <= H, |py - v.y| + |ky| <= 2H + 2.5,
+// |px - v.x| + |kx| <= 2W + 2.5, so S_i <= 4WH + 3(W + H) + 1 =: S for all
+// three edges, and the whole bound costs a handful of float operations
+// (their rounding, a few u relative, sits inside the 2x margin). A clamped
+// anchor, a degenerate area bound, or an overflowing S trims nothing.
+CoverageWindow coverage_window(const TriSetup& s, const SpanFrame& f) {
+  CoverageWindow w{s.y_min, s.y_max, f.gfloor, f.gceil - 1};
+  if (!(s.area_lo > 0.0f) || !(s.min_x < kAnchorLimit) || !(s.min_y < kAnchorLimit)) {
+    return w;
+  }
+  const float width = s.max_x - s.min_x;
+  const float height = s.max_y - s.min_y;
+  const float spread = 4.0f * width * height + 3.0f * (width + height) + 1.0f;
+  const float two_eps = 2.0f * (16.0f * 0x1p-24f) * spread;
+  const float slack_y = two_eps * height;  // = d_y * A
+  const float slack_x = two_eps * width;   // = d_x * A
+  const float area = s.area_lo;
+  // Only the first bbox row can have its centre above min_y (the bbox
+  // starts at floor(min_y), or inside the extent where the target clips
+  // it), and only the last two below max_y (it ends at ceil(max_y));
+  // columns likewise. Branch-free: each trim is a 0/1 decision.
+  const auto beyond = [area](float gap, float slack) {
+    return static_cast<int>(gap * area > slack);
+  };
+  const auto centre = [](int pixel) { return static_cast<float>(pixel) + 0.5f; };
+  w.y_lo += beyond(s.min_y - centre(w.y_lo), slack_y);
+  const int cut_y = beyond(centre(w.y_hi) - s.max_y, slack_y);
+  w.y_hi -= cut_y + (cut_y & beyond(centre(w.y_hi - 1) - s.max_y, slack_y));
+  w.k_lo += beyond(s.min_x - centre(s.ax + w.k_lo), slack_x);
+  const int cut_x = beyond(centre(s.ax + w.k_hi) - s.max_x, slack_x);
+  w.k_hi -= cut_x + (cut_x & beyond(centre(s.ax + w.k_hi - 1) - s.max_x, slack_x));
+  return w;
+}
+
+// ---------------------------------------------------------------------------
+// The small-triangle row solver. When a triangle's coverage window is at
+// most eight columns wide, a row's admissions are the three per-lane
+// comparisons m < r (m <= r on a top-left edge) for the eight columns of
+// the window at once — the exact comparisons the wide solver settles its
+// boundaries with — and the span bounds are read off the lane mask. m =
+// fl(kx * dy) does not depend on the row, so the per-lane thresholds are
+// built once per triangle; m <= r is folded into the single comparison
+// next_below(m) < r (no float lies strictly between the two). Lanes past
+// the window hold +inf and never admit. Admission is monotone in kx along
+// each edge, so the mask is one contiguous run, as the wide solver's
+// interval is.
+// ---------------------------------------------------------------------------
+
+constexpr int kSmallLanes = 8;
+
+// The largest float below a finite m.
+inline float next_below(float m) {
+  if (m == 0.0f) return -std::numeric_limits<float>::denorm_min();
+  const auto bits = std::bit_cast<std::uint32_t>(m);
+  return std::bit_cast<float>(m > 0.0f ? bits - 1u : bits + 1u);
+}
+
+#if defined(__SSE2__)
+// next_below per lane: one ulp down in magnitude for m > 0, up for m < 0,
+// and -denorm_min for either zero.
+inline __m128 next_below(__m128 m) {
+  const __m128 zero = _mm_setzero_ps();
+  const __m128i bits = _mm_castps_si128(m);
+  const __m128i pos = _mm_castps_si128(_mm_cmpgt_ps(m, zero));  // -1 where m > 0
+  const __m128i neg = _mm_castps_si128(_mm_cmplt_ps(m, zero));  // -1 where m < 0
+  const __m128i moved = _mm_sub_epi32(_mm_add_epi32(bits, pos), neg);
+  const __m128i is_zero = _mm_castps_si128(_mm_cmpeq_ps(m, zero));
+  const __m128i below_zero = _mm_set1_epi32(static_cast<int>(0x80000001u));
+  return _mm_castsi128_ps(_mm_or_si128(_mm_andnot_si128(is_zero, moved),
+                                       _mm_and_si128(is_zero, below_zero)));
+}
+#endif
+
+class SmallRowSolve {
+ public:
+  SmallRowSolve(const TriSetup& s, int k_base, int lanes) {
+    const Edge* edges[3] = {&s.ab, &s.bc, &s.ca};
+#if defined(__SSE2__)
+    const __m128i base = _mm_set1_epi32(k_base);
+    const __m128i lane_lo = _mm_setr_epi32(0, 1, 2, 3);
+    const __m128i lane_hi = _mm_setr_epi32(4, 5, 6, 7);
+    const __m128 kx_lo = _mm_cvtepi32_ps(_mm_add_epi32(base, lane_lo));
+    const __m128 kx_hi = _mm_cvtepi32_ps(_mm_add_epi32(base, lane_hi));
+    const __m128 live_lo = _mm_castsi128_ps(_mm_cmplt_epi32(lane_lo, _mm_set1_epi32(lanes)));
+    const __m128 live_hi = _mm_castsi128_ps(_mm_cmplt_epi32(lane_hi, _mm_set1_epi32(lanes)));
+    const __m128 inf = _mm_set1_ps(std::numeric_limits<float>::infinity());
+    const auto store = [&](float* out, __m128 m, bool top_left, __m128 live) {
+      if (top_left) m = next_below(m);
+      _mm_storeu_ps(out, _mm_or_ps(_mm_and_ps(live, m), _mm_andnot_ps(live, inf)));
+    };
+    for (int i = 0; i < 3; ++i) {
+      const Edge& e = *edges[i];
+      const __m128 dy = _mm_set1_ps(e.dy);
+      store(&threshold_[i][0], _mm_mul_ps(kx_lo, dy), e.top_left, live_lo);
+      store(&threshold_[i][4], _mm_mul_ps(kx_hi, dy), e.top_left, live_hi);
+      origin_[i] = e.origin;
+      dx_[i] = e.dx;
+    }
+#else
+    for (int i = 0; i < 3; ++i) {
+      const Edge& e = *edges[i];
+      for (int j = 0; j < kSmallLanes; ++j) {
+        const float m = static_cast<float>(k_base + j) * e.dy;
+        threshold_[i][j] = j >= lanes ? std::numeric_limits<float>::infinity()
+                           : e.top_left ? next_below(m)
+                                        : m;
+      }
+      origin_[i] = e.origin;
+      dx_[i] = e.dx;
+    }
+#endif
+  }
+
+  // Bit j set: column k_base + j of row ky is admitted by all three edges.
+  [[nodiscard]] unsigned row_mask(int ky) const {
+    const float kyf = static_cast<float>(ky);
+    const float r0 = origin_[0] + kyf * dx_[0];
+    const float r1 = origin_[1] + kyf * dx_[1];
+    const float r2 = origin_[2] + kyf * dx_[2];
+#if defined(__SSE2__)
+    const __m128 v0 = _mm_set1_ps(r0);
+    const __m128 v1 = _mm_set1_ps(r1);
+    const __m128 v2 = _mm_set1_ps(r2);
+    const auto half = [&](int j) {
+      const __m128 in = _mm_and_ps(
+          _mm_and_ps(_mm_cmplt_ps(_mm_loadu_ps(&threshold_[0][j]), v0),
+                     _mm_cmplt_ps(_mm_loadu_ps(&threshold_[1][j]), v1)),
+          _mm_cmplt_ps(_mm_loadu_ps(&threshold_[2][j]), v2));
+      return static_cast<unsigned>(_mm_movemask_ps(in));
+    };
+    return half(0) | (half(4) << 4);
+#else
+    unsigned mask = 0;
+    for (int j = 0; j < kSmallLanes; ++j) {
+      const bool in = threshold_[0][j] < r0 && threshold_[1][j] < r1 &&
+                      threshold_[2][j] < r2;
+      mask |= static_cast<unsigned>(in) << j;
+    }
+    return mask;
+#endif
+  }
+
+ private:
+  float threshold_[3][kSmallLanes];
+  float origin_[3], dx_[3];
+};
+
+// Walks a triangle's rows and calls visit(y, ky, g_lo, g_hi) with each
+// row's geometric covered interval (empty when g_lo >= g_hi). kAuto is the
+// production walk: the coverage window's rows, solved by the small-triangle
+// solver when the window is at most eight columns wide (a function of the
+// triangle alone: for such triangles the solve window is the whole bbox)
+// and by the wide solver otherwise. kWide is the walk before the coverage
+// window existed — every bbox row, wide solver — and kSmall forces the
+// small solver (returning false when the window is too wide); both exist
+// for the equivalence fuzz suite.
+template <class Visit>
+bool walk_rows(const TriSetup& s, const SpanFrame& f, detail::RowSolver solver,
+               Visit&& visit) {
+  if (solver == detail::RowSolver::kWide) {
+    const WideRowSolve solve(s, f.gfloor, f.gceil);
+    for (int y = s.y_min; y <= s.y_max; ++y) {
+      int g_lo = 0;
+      int g_hi = 0;
+      solve.solve(y - s.ay, g_lo, g_hi);
+      visit(y, y - s.ay, g_lo, g_hi);
+    }
+    return true;
+  }
+  const CoverageWindow window = coverage_window(s, f);
+  const int lanes = window.k_hi - window.k_lo + 1;
+  if (lanes <= kSmallLanes) {
+    if (lanes <= 0) return true;
+    const SmallRowSolve solve(s, window.k_lo, lanes);
+    for (int y = window.y_lo; y <= window.y_hi; ++y) {
+      const unsigned mask = solve.row_mask(y - s.ay);
+      // An empty mask yields g_lo > g_hi (the guard bit above the lanes).
+      visit(y, y - s.ay, window.k_lo + std::countr_zero(mask | (1u << kSmallLanes)),
+            window.k_lo + std::bit_width(mask));
+    }
+    return true;
+  }
+  if (solver == detail::RowSolver::kSmall) return false;
+  const WideRowSolve solve(s, f.gfloor, f.gceil);
+  for (int y = window.y_lo; y <= window.y_hi; ++y) {
+    int g_lo = 0;
+    int g_hi = 0;
+    solve.solve(y - s.ay, g_lo, g_hi);
+    visit(y, y - s.ay, g_lo, g_hi);
+  }
+  return true;
+}
+
 template <BlendMode Mode>
 void raster_tri_span(const RasterTarget& target, MeshVertex va, MeshVertex vb,
                      MeshVertex vc, float weight, const SpotProfile& profile,
-                     RasterStats& stats) {
+                     SpanBatch& batch, RasterStats& stats) {
   TriSetup s;
   if (!setup_triangle(target, va, vb, vc, s)) return;
+  ++stats.triangles;
 
-  const auto pixels = target.pixels;
-  // The rendered kx window relative to the canonical anchor: [klo, kend).
-  const int klo = s.x_min - s.ax;
-  const int kend = s.x_max - s.ax + 1;
-  // The *geometric* solve window: boundaries are resolved past the target
-  // rect (bounded by the bbox and the slack) so the solved span — and the
-  // UV rebase anchored at its in-range start — is a pure function of the
-  // triangle and the row, identical for every target that clips it.
-  const int gfloor = std::max(0, klo - kGeomSlack);
-  const int gceil = std::min(s.gx_end, kend + kGeomSlack);
-
-  // Classify the three edges once (dy's sign is fixed across the raster)
-  // and precompute each sloped edge's x-intercept line.
-  RowBound flat[3], left[3], right[3];
-  int n_flat = 0, n_left = 0, n_right = 0;
-  const Edge* edges[3] = {&s.ab, &s.bc, &s.ca};
-  for (const Edge* e : edges) {
-    RowBound b;
-    b.dy = e->dy;
-    b.dx = e->dx;
-    b.origin = e->origin;
-    b.top_left = e->top_left;
-    if (e->dy == 0.0f) {
-      flat[n_flat++] = b;
-      continue;
-    }
-    b.base = static_cast<double>(e->origin) / static_cast<double>(e->dy);
-    b.slope = static_cast<double>(e->dx) / static_cast<double>(e->dy);
-    if (e->dy > 0.0f) {
-      right[n_right++] = b;
-    } else {
-      left[n_left++] = b;
-    }
-  }
+  const SpanFrame frame = span_frame(s);
+  const int klo = frame.klo;
+  const int kend = frame.kend;
 
   // Barycentric weights are affine across the raster, so UV is evaluated as
   // U00 + ky*du_dy + kx*du_dx with per-triangle double constants: within
@@ -322,87 +691,22 @@ void raster_tri_span(const RasterTarget& target, MeshVertex va, MeshVertex vb,
                        inv_area;
 
   SpotProfile::RowSampler sampler(profile, du_dx, dv_dx);
-
-  // The runtime-dispatched kernel tier (scalar / AVX2 / NEON),
-  // resolved once per triangle. Every tier is bit-identical to the scalar
-  // expressions (util/simd_dispatch.hpp), so the dispatch choice can never
-  // show in the pixels — only in the frame time.
-  const util::simd::KernelTable& kernels = util::simd::kernels();
-
-  // SoA span batch: the rows of this triangle accumulate as (dst, span,
-  // length) triples on the stack and flush through the batched kernel, so
-  // the tier pays its per-call setup once per flush, not once per row. The
-  // triples address disjoint pixels (one span per row, flanks excluded), so
-  // batched order is the per-row order bit for bit.
-  constexpr int kSpanBatch = 64;
-  float* batch_dst[kSpanBatch];
-  util::simd::SampleSpan batch_span[kSpanBatch];
-  std::uint32_t batch_len[kSpanBatch];
-  int batched = 0;
-  const auto flush = [&] {
-    if (batched == 0) return;
-    if constexpr (Mode == BlendMode::kAdditive) {
-      kernels.sample_rows_add(batch_dst, batch_span, batch_len,
-                              static_cast<std::size_t>(batched));
-    } else {
-      kernels.sample_rows_max(batch_dst, batch_span, batch_len,
-                              static_cast<std::size_t>(batched));
-    }
-    batched = 0;
-  };
-
+  const auto pixels = target.pixels;
   std::int64_t fragments = 0;
-  std::int64_t visited = 0;
-  for (int y = s.y_min; y <= s.y_max; ++y) {
-    const int ky = y - s.ay;
-    const float kyf = static_cast<float>(ky);
+  std::int64_t rows = 0;
+  std::int64_t empty = 0;
 
-    // Solve the canonical edge functions for the *geometric* covered
-    // interval [g_lo, g_hi) in anchor-relative kx units. Each bound's row
-    // value r is the same float expression the reference walk evaluates
-    // (edge_row_value), and each boundary is settled by the exact
-    // admission comparison — coverage inside the target is bit-identical
-    // to the reference by construction, and the boundaries themselves do
-    // not depend on where the target clips the row.
-    int g_lo = gfloor;
-    int g_hi = gceil;
-    for (int i = 0; i < n_flat; ++i) {
-      const float r = flat[i].origin + kyf * flat[i].dx;
-      if (!(r > 0.0f || (r == 0.0f && flat[i].top_left))) g_hi = gfloor;
-    }
-    for (int i = 0; i < n_right; ++i) {
-      const RowBound& b = right[i];
-      const float r = b.origin + kyf * b.dx;
-      const auto admits = [&](int kx) {
-        const float m = static_cast<float>(kx) * b.dy;
-        return b.top_left ? (m <= r) : (m < r);
-      };
-      int k = seed_from(b.base + ky * b.slope, gfloor, gceil);
-      while (k < gceil && admits(k)) ++k;
-      while (k > gfloor && !admits(k - 1)) --k;
-      g_hi = std::min(g_hi, k);
-    }
-    for (int i = 0; i < n_left; ++i) {
-      const RowBound& b = left[i];
-      const float r = b.origin + kyf * b.dx;
-      const auto admits = [&](int kx) {
-        const float m = static_cast<float>(kx) * b.dy;
-        return b.top_left ? (m <= r) : (m < r);
-      };
-      int k = seed_from(b.base + ky * b.slope, gfloor, gceil);
-      while (k < gceil && !admits(k)) ++k;
-      while (k > gfloor && admits(k - 1)) --k;
-      g_lo = std::max(g_lo, k);
-    }
-    if (g_lo >= g_hi) continue;
-
+  // Renders the geometric span [g_lo, g_hi) of row y, clipped to the target.
+  const auto emit = [&](int y, int ky, int g_lo, int g_hi) {
+    ++rows;
     // The rendered interval is the geometric span clipped to the target.
     const int lo = std::max(g_lo, klo);
     const int hi = std::min(g_hi, kend);
-    if (lo >= hi) continue;
-    const int n = hi - lo;
-    fragments += n;
-    visited += n;
+    if (lo >= hi) {
+      ++empty;
+      return;
+    }
+    fragments += hi - lo;
 
     // Bounds handling, hoisted: fragments whose UV leaves [0,1)^2 (float
     // rounding at mesh seams, or genuinely off-profile geometry) sample
@@ -432,39 +736,47 @@ void raster_tri_span(const RasterTarget& target, MeshVertex va, MeshVertex vb,
       // The reference blends max(dst, quantize(weight * 0)) on zero-texel
       // fragments; replicate that on the out-of-range flanks.
       const float flank = util::simd::quantize_contribution(weight * 0.0f);
-      kernels.max_with(dst, flank, static_cast<std::size_t>(r0 - lo));
-      kernels.max_with(dst + (r1 - lo), flank, static_cast<std::size_t>(hi - r1));
+      batch.kernels().max_with(dst, flank, static_cast<std::size_t>(r0 - lo));
+      batch.kernels().max_with(dst + (r1 - lo), flank,
+                               static_cast<std::size_t>(hi - r1));
     }
     if (r0 < r1) {
       // Rebase the sampler at the geometric in-range start s0 — in [0,1)^2
       // so the fixed-point position fits — then queue the whole rendered
       // sub-span as one SoA unit: the span() call hoists the per-fragment
-      // UV stepping state (fixed-point position, step, weight) out of this
-      // loop, and at flush the batched kernel blends straight-line over the
-      // contiguous destination floats (staging texels in a stack buffer on
-      // tiers without gathers, walking fragments eight-at-a-time on AVX2).
-      // Rendered fragments sample at offsets r0-s0 .. r1-1-s0; every tier
-      // reproduces the scalar quantize(weight * sample) bits exactly.
+      // UV stepping state (fixed-point position, step, weight) out of the
+      // kernel, which blends straight-line over the contiguous destination
+      // floats at flush. Rendered fragments sample at offsets r0-s0 ..
+      // r1-1-s0; every tier reproduces the scalar quantize(weight * sample)
+      // bits exactly.
       sampler.start_row(u_row + s0 * du_dx, v_row + s0 * dv_dx);
-      batch_dst[batched] = dst + (r0 - lo);
-      batch_span[batched] = sampler.span(r0 - s0, weight);
-      batch_len[batched] = static_cast<std::uint32_t>(r1 - r0);
-      if (++batched == kSpanBatch) flush();
+      batch.push(dst + (r0 - lo), sampler.span(r0 - s0, weight),
+                 static_cast<std::uint32_t>(r1 - r0));
     }
-  }
-  flush();
-  ++stats.triangles;
+  };
+
+  walk_rows(s, frame, detail::RowSolver::kAuto, emit);
   stats.fragments += fragments;
-  stats.pixels_visited += visited;
+  stats.pixels_visited += fragments;
+  stats.span_rows += rows;
+  stats.empty_rows += empty;
 }
 
 // ---------------------------------------------------------------------------
 // Dispatch: blend mode and algorithm resolve to one instantiated kernel,
-// selected once per mesh / per command buffer instead of per triangle.
+// selected once per call instead of per triangle.
 // ---------------------------------------------------------------------------
 
+template <BlendMode Mode>
+void raster_tri_reference_batched(const RasterTarget& target, MeshVertex va,
+                                  MeshVertex vb, MeshVertex vc, float weight,
+                                  const SpotProfile& profile, SpanBatch& /*batch*/,
+                                  RasterStats& stats) {
+  raster_tri_reference<Mode>(target, va, vb, vc, weight, profile, stats);
+}
+
 using TriKernel = void (*)(const RasterTarget&, MeshVertex, MeshVertex, MeshVertex,
-                           float, const SpotProfile&, RasterStats&);
+                           float, const SpotProfile&, SpanBatch&, RasterStats&);
 
 TriKernel select_kernel(BlendMode mode, RasterAlgorithm algorithm) {
   const bool additive = mode == BlendMode::kAdditive;
@@ -472,13 +784,14 @@ TriKernel select_kernel(BlendMode mode, RasterAlgorithm algorithm) {
     return additive ? &raster_tri_span<BlendMode::kAdditive>
                     : &raster_tri_span<BlendMode::kMaximum>;
   }
-  return additive ? &raster_tri_reference<BlendMode::kAdditive>
-                  : &raster_tri_reference<BlendMode::kMaximum>;
+  return additive ? &raster_tri_reference_batched<BlendMode::kAdditive>
+                  : &raster_tri_reference_batched<BlendMode::kMaximum>;
 }
 
 void mesh_with_kernel(TriKernel kernel, const RasterTarget& target,
                       std::span<const MeshVertex> vertices, int cols, int rows,
-                      float weight, const SpotProfile& profile, RasterStats& stats) {
+                      float weight, const SpotProfile& profile, SpanBatch& batch,
+                      RasterStats& stats) {
   auto vertex = [&](int i, int j) -> const MeshVertex& {
     return vertices[static_cast<std::size_t>(j) * static_cast<std::size_t>(cols) +
                     static_cast<std::size_t>(i)];
@@ -489,8 +802,8 @@ void mesh_with_kernel(TriKernel kernel, const RasterTarget& target,
       const MeshVertex& v10 = vertex(i + 1, j);
       const MeshVertex& v11 = vertex(i + 1, j + 1);
       const MeshVertex& v01 = vertex(i, j + 1);
-      kernel(target, v00, v10, v11, weight, profile, stats);
-      kernel(target, v00, v11, v01, weight, profile, stats);
+      kernel(target, v00, v10, v11, weight, profile, batch, stats);
+      kernel(target, v00, v11, v01, weight, profile, batch, stats);
       ++stats.quads;
     }
   }
@@ -502,23 +815,46 @@ void rasterize_triangle(const RasterTarget& target, const MeshVertex& a,
                         const MeshVertex& b, const MeshVertex& c, float weight,
                         const SpotProfile& profile, BlendMode mode,
                         RasterStats& stats) {
-  select_kernel(mode, target.algorithm)(target, a, b, c, weight, profile, stats);
+  SpanBatch batch(mode);
+  select_kernel(mode, target.algorithm)(target, a, b, c, weight, profile, batch, stats);
+  batch.flush();
 }
 
 void rasterize_mesh(const RasterTarget& target, std::span<const MeshVertex> vertices,
                     int cols, int rows, float weight, const SpotProfile& profile,
                     BlendMode mode, RasterStats& stats) {
+  SpanBatch batch(mode);
   mesh_with_kernel(select_kernel(mode, target.algorithm), target, vertices, cols,
-                   rows, weight, profile, stats);
+                   rows, weight, profile, batch, stats);
+  batch.flush();
 }
+
+namespace detail {
+
+bool solve_span_rows(const RasterTarget& target, const MeshVertex& a,
+                     const MeshVertex& b, const MeshVertex& c, RowSolver solver,
+                     std::vector<SolvedRow>& rows) {
+  TriSetup s;
+  if (!setup_triangle(target, a, b, c, s)) return false;
+  std::vector<SolvedRow> solved;
+  const bool served = walk_rows(s, span_frame(s), solver, [&](int y, int, int g_lo, int g_hi) {
+    solved.push_back({y, s.ax + g_lo, s.ax + std::max(g_lo, g_hi)});
+  });
+  if (served) rows.insert(rows.end(), solved.begin(), solved.end());
+  return served;
+}
+
+}  // namespace detail
 
 void rasterize_buffer(const RasterTarget& target, const CommandBuffer& buffer,
                       const SpotProfile& profile, BlendMode mode, RasterStats& stats) {
   const TriKernel kernel = select_kernel(mode, target.algorithm);
+  SpanBatch batch(mode);
   for (const MeshHeader& h : buffer.meshes()) {
     mesh_with_kernel(kernel, target, buffer.vertices_of(h), h.cols, h.rows,
-                     h.intensity, profile, stats);
+                     h.intensity, profile, batch, stats);
   }
+  batch.flush();
 }
 
 }  // namespace dcsn::render

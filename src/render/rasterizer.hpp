@@ -42,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "render/command_buffer.hpp"
 #include "render/spot_profile.hpp"
@@ -82,12 +83,18 @@ struct RasterStats {
   /// fragments / pixels_visited is the fill efficiency the span kernel buys;
   /// bench_raster_kernel reports it as the visited ratio.
   std::int64_t pixels_visited = 0;
+  /// Rows the kSpan row solver walked, and how many of them rendered no
+  /// fragment; empty_rows / span_rows is the row loop's wasted share.
+  std::int64_t span_rows = 0;
+  std::int64_t empty_rows = 0;
 
   RasterStats& operator+=(const RasterStats& o) {
     triangles += o.triangles;
     quads += o.quads;
     fragments += o.fragments;
     pixels_visited += o.pixels_visited;
+    span_rows += o.span_rows;
+    empty_rows += o.empty_rows;
     return *this;
   }
 };
@@ -111,5 +118,31 @@ void rasterize_mesh(const RasterTarget& target, std::span<const MeshVertex> vert
 /// once and passed down (all meshes of a buffer share pipe state).
 void rasterize_buffer(const RasterTarget& target, const CommandBuffer& buffer,
                       const SpotProfile& profile, BlendMode mode, RasterStats& stats);
+
+namespace detail {
+
+/// The kSpan row solvers, exposed for the equivalence fuzz suite
+/// (tests/test_rasterizer.cpp). kAuto is the production walk (the coverage
+/// window's rows; the small-triangle solver when that window is at most
+/// eight columns wide, the wide solver otherwise); kSmall forces the
+/// small-triangle solver; kWide walks every bbox row with the wide solver.
+enum class RowSolver { kAuto, kSmall, kWide };
+
+/// One walked row: its geometric covered pixels [x_begin, x_end) in global
+/// coordinates, not clipped to the target (x_begin == x_end when empty).
+struct SolvedRow {
+  int y = 0;
+  int x_begin = 0;
+  int x_end = 0;
+};
+
+/// Appends the rows `solver` walks for the triangle. Returns false, and
+/// appends nothing, when setup rejects the triangle (degenerate, non-finite
+/// or off-target) or kSmall cannot serve it.
+bool solve_span_rows(const RasterTarget& target, const MeshVertex& a,
+                     const MeshVertex& b, const MeshVertex& c, RowSolver solver,
+                     std::vector<SolvedRow>& rows);
+
+}  // namespace detail
 
 }  // namespace dcsn::render

@@ -452,11 +452,14 @@ DCSN_TARGET_AVX2 inline void avx2_pair_block(float* dst_a, float* dst_b,
 
 // A pending 1..4-lane block: the computed low-half lane state of a span
 // remainder, parked until a partner shows up. This is where the batched
-// kernel earns its keep — the spans of one batch never alias, so processing
-// order cannot change a single output byte, which licenses holding a
-// remainder back and packing it with the NEXT remainder into one 8-lane
-// block (lanes 0-3 from the first, 4-7 from the second), halving the
-// gather/lerp/quantize cost of the short work. Under the production span
+// kernel earns its keep — every blend is a lattice-exact add or a
+// comparison max, so the order of whole per-span read-modify-writes cannot
+// change a single output byte, which licenses holding a remainder back and
+// packing it with the NEXT remainder into one 8-lane block (lanes 0-3 from
+// the first, 4-7 from the second), halving the gather/lerp/quantize cost of
+// the short work. Spans of one batch may overlap (a folded ribbon's
+// triangles), so a pair is packed only when its halves share no pixel
+// (tails_overlap). Under the production span
 // histogram roughly a third of spans are <= 4 fragments outright, and the
 // multi-block spans park their tails here too.
 struct Avx2Tail {
@@ -514,6 +517,16 @@ DCSN_TARGET_AVX2 inline Avx2Span avx2_tail_span(const Avx2Tail& t) {
   return v;
 }
 
+// True when the parked tail and the incoming remainder [dst, dst + n) share
+// a pixel. A pair block loads both destinations before it stores either, so
+// overlapping halves would lose one blend; such a pair is blended singly,
+// one read-modify-write after the other.
+inline bool tails_overlap(const Avx2Tail& t, const float* dst, std::size_t n) {
+  const auto a = reinterpret_cast<std::uintptr_t>(t.dst);
+  const auto b = reinterpret_cast<std::uintptr_t>(dst);
+  return a < b + n * sizeof(float) && b < a + t.rem * sizeof(float);
+}
+
 // The batched sampler: full blocks run immediately; every 1..4-lane
 // remainder — a short span or a multi-block span's tail — is parked and
 // packed in pairs (see Avx2Tail above). A remainder of 5..8 lanes fills a
@@ -558,11 +571,12 @@ void DCSN_TARGET_AVX2 sample_rows_avx2(float* const* dst, const SampleSpan* span
       pending = true;
       continue;
     }
-    if (pend.table == s.table && pend.stride == s.stride) {
+    if (pend.table == s.table && pend.stride == s.stride &&
+        !tails_overlap(pend, d, n)) {
       const Avx2Span m = avx2_merge_tails(pend, v);
       avx2_pair_block<Additive>(pend.dst, d, m, pend.rem, n);
       pending = false;
-    } else {  // different profiles in one batch — flush singly, park anew
+    } else {  // different profiles, or overlapping pixels: flush singly, park anew
       const Avx2Span pv = avx2_tail_span(pend);
       avx2_masked_block<Additive>(pend.dst, pv, pend.rem);
       avx2_park_tail(pend, d, v, s, n);

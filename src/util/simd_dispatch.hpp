@@ -72,12 +72,16 @@ struct KernelTable {
   /// as the scalar comparison.
   void (*sample_row_max)(float* dst, const SampleSpan& span, std::size_t n);
   /// Batched sample_row_add: span i blends into dst[i][0..lens[i]).
-  /// PRECONDITION: the spans of one batch never alias (the rasterizer
-  /// batches one triangle's rows — distinct framebuffer rows). That makes
-  /// the result byte-identical to calling sample_row_add span by span in
-  /// ANY order, and tiers exploit it: a tier may reorder the batch (e.g. to
-  /// peel branch-free span-length classes) and keep its lane constants
-  /// resident across the whole batch.
+  /// Spans of one batch MAY overlap (the rasterizer batches every triangle
+  /// of a call, and a folded ribbon's triangles cover common pixels). The
+  /// result is byte-identical to calling sample_row_add span by span in
+  /// batch order, because each blend is a lattice-exact add (or, for _max,
+  /// the comparison max) and such whole read-modify-writes commute. A tier
+  /// may therefore reorder the batch or defer a span, but it must apply
+  /// each span's blend as its own read-modify-write: two spans that share a
+  /// pixel are never packed into one load/store block (the AVX2 tier checks
+  /// a parked tail against its partner in O(1) and blends an overlapping
+  /// pair singly).
   void (*sample_rows_add)(float* const* dst, const SampleSpan* spans,
                           const std::uint32_t* lens, std::size_t count);
   /// Batched sample_row_max, same contract.

@@ -10,7 +10,9 @@
 // blends an exact float quantum and framebuffers can be compared bit-exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "render/rasterizer.hpp"
 #include "render/spot_profile.hpp"
 #include "util/rng.hpp"
+#include "util/simd_dispatch.hpp"
 
 namespace {
 
@@ -416,6 +419,212 @@ TEST(SpanEquivalence, TileClippedSpansMatchFullTargetBitwise) {
       }
     }
   }
+}
+
+// ------------------------------------------------- one batch per call ---
+
+// A ribbon folded back and forth on itself, about one pixel row tall, so
+// its triangles emit short spans that overlap triangles queued earlier in
+// the same span batch. rasterize_mesh queues every triangle into one batch;
+// rasterize_triangle flushes after each. Both must give the same bits, per
+// tier and blend mode, and every tier the same bits as scalar.
+TEST(SpanBatch, FoldedRibbonMatchesPerTriangleFlushOnEveryTier) {
+  namespace simd = dcsn::util::simd;
+  const simd::Tier saved = simd::active_tier();
+  const SpotProfile profile(SpotShape::kCosine, 64);
+  dcsn::util::Rng rng(0xf01d);
+  for (int ribbon = 0; ribbon < 20; ++ribbon) {
+    constexpr int cols = 80;
+    constexpr int rows = 2;
+    std::vector<MeshVertex> vertices(cols * rows);
+    float x = static_cast<float>(rng.uniform(20.0, 40.0));
+    const auto y0 = static_cast<float>(rng.uniform(4.0, 40.0));
+    const auto height = static_cast<float>(rng.uniform(0.4, 1.8));
+    for (int i = 0; i < cols; ++i) {
+      x = std::clamp(x + static_cast<float>(rng.uniform(-3.5, 3.5)), 2.0f, 60.0f);
+      const float t = static_cast<float>(i) / (cols - 1);
+      const auto jitter = static_cast<float>(rng.uniform(-0.3, 0.3));
+      vertices[static_cast<std::size_t>(i)] = vtx(x, y0 + jitter, t, 0.0f);
+      vertices[static_cast<std::size_t>(cols + i)] =
+          vtx(x + static_cast<float>(rng.uniform(-0.5, 0.5)), y0 + jitter + height, t, 1.0f);
+    }
+    const auto weight = static_cast<float>(rng.uniform(-0.9, 0.9));
+    for (const BlendMode mode : {BlendMode::kAdditive, BlendMode::kMaximum}) {
+      std::uint64_t scalar_hash = 0;
+      for (const simd::Tier tier : simd::available_tiers()) {
+        simd::set_active_tier(tier);
+        Framebuffer batched(64, 48);
+        Framebuffer flushed(64, 48);
+        RasterStats batched_stats;
+        RasterStats flushed_stats;
+        dcsn::render::rasterize_mesh({batched.pixels(), 0, 0, RasterAlgorithm::kSpan},
+                                     vertices, cols, rows, weight, profile, mode,
+                                     batched_stats);
+        const RasterTarget target{flushed.pixels(), 0, 0, RasterAlgorithm::kSpan};
+        for (int i = 0; i + 1 < cols; ++i) {
+          const MeshVertex& v00 = vertices[static_cast<std::size_t>(i)];
+          const MeshVertex& v10 = vertices[static_cast<std::size_t>(i + 1)];
+          const MeshVertex& v11 = vertices[static_cast<std::size_t>(cols + i + 1)];
+          const MeshVertex& v01 = vertices[static_cast<std::size_t>(cols + i)];
+          dcsn::render::rasterize_triangle(target, v00, v10, v11, weight, profile, mode,
+                                           flushed_stats);
+          dcsn::render::rasterize_triangle(target, v00, v11, v01, weight, profile, mode,
+                                           flushed_stats);
+        }
+        ASSERT_GT(batched_stats.fragments, 0);
+        EXPECT_EQ(batched_stats.fragments, flushed_stats.fragments);
+        EXPECT_EQ(batched.content_hash(), flushed.content_hash())
+            << "ribbon " << ribbon << " tier " << simd::tier_name(tier);
+        if (tier == simd::Tier::kScalar) scalar_hash = batched.content_hash();
+        EXPECT_EQ(batched.content_hash(), scalar_hash)
+            << "ribbon " << ribbon << " tier " << simd::tier_name(tier);
+      }
+    }
+  }
+  simd::set_active_tier(saved);
+}
+
+// ------------------------------------------------ small-triangle solver ---
+
+using dcsn::render::detail::RowSolver;
+using dcsn::render::detail::SolvedRow;
+
+struct RowTally {
+  int triangles = 0;
+  int small_served = 0;
+};
+
+// Runs one triangle through every row solver on a (possibly clipped) target
+// and checks, row by row: the production walk and the forced small-triangle
+// solver (when it can serve the triangle) report exactly the wide solver's
+// geometric interval on every row they walk, and every bbox row they skip
+// is empty under the wide solver; and the wide interval, clipped to the
+// target, is exactly the reference walk's coverage.
+void expect_row_solvers_agree(const MeshVertex& a, const MeshVertex& b,
+                              const MeshVertex& c, int ox, int oy, int w, int h,
+                              RowTally& tally) {
+  MeshVertex ca = a, cb = b, cc = c;
+  ca.u = cb.u = cc.u = 0.5f;
+  ca.v = cb.v = cc.v = 0.5f;
+  Framebuffer fb(w, h);
+  const RasterTarget target{fb.pixels(), ox, oy, RasterAlgorithm::kReference};
+  std::vector<SolvedRow> wide, walked, small;
+  const bool wide_ok =
+      dcsn::render::detail::solve_span_rows(target, ca, cb, cc, RowSolver::kWide, wide);
+  const bool auto_ok =
+      dcsn::render::detail::solve_span_rows(target, ca, cb, cc, RowSolver::kAuto, walked);
+  const bool small_ok =
+      dcsn::render::detail::solve_span_rows(target, ca, cb, cc, RowSolver::kSmall, small);
+  RasterStats stats;
+  dcsn::render::rasterize_triangle(target, ca, cb, cc, 1.0f, coverage_profile(),
+                                   BlendMode::kAdditive, stats);
+  ++tally.triangles;
+  ASSERT_EQ(wide_ok, auto_ok);
+  if (!wide_ok) {
+    EXPECT_FALSE(small_ok);
+    EXPECT_EQ(stats.fragments, 0);
+    return;
+  }
+  if (small_ok) ++tally.small_served;
+
+  const auto find = [](const std::vector<SolvedRow>& rows, int y) -> const SolvedRow* {
+    for (const SolvedRow& r : rows) {
+      if (r.y == y) return &r;
+    }
+    return nullptr;
+  };
+  const auto same = [](const SolvedRow& p, const SolvedRow& q) {
+    const bool p_empty = p.x_begin >= p.x_end;
+    const bool q_empty = q.x_begin >= q.x_end;
+    if (p_empty || q_empty) return p_empty == q_empty;
+    return p.x_begin == q.x_begin && p.x_end == q.x_end;
+  };
+  for (const std::vector<SolvedRow>* other : {&walked, &small}) {
+    if (other == &small && !small_ok) continue;
+    for (const SolvedRow& r : *other) {
+      const SolvedRow* ref = find(wide, r.y);
+      ASSERT_NE(ref, nullptr) << "row " << r.y << " walked outside the bbox";
+      EXPECT_TRUE(same(*ref, r)) << "row " << r.y << ": wide [" << ref->x_begin << ", "
+                                 << ref->x_end << ") vs [" << r.x_begin << ", "
+                                 << r.x_end << ")";
+    }
+    for (const SolvedRow& r : wide) {
+      if (find(*other, r.y) == nullptr) {
+        EXPECT_GE(r.x_begin, r.x_end) << "skipped row " << r.y << " is covered";
+      }
+    }
+  }
+
+  const float q = coverage_quantum();
+  for (int y = oy; y < oy + h; ++y) {
+    const SolvedRow* r = find(wide, y);
+    const int lo = r ? std::max(r->x_begin, ox) : 0;
+    const int hi = r ? std::min(r->x_end, ox + w) : 0;
+    for (int x = ox; x < ox + w; ++x) {
+      const float expected = (x >= lo && x < hi) ? q : 0.0f;
+      ASSERT_EQ(fb.at(x - ox, y - oy), expected) << "pixel (" << x << ", " << y << ")";
+    }
+  }
+}
+
+TEST(SmallTriangleSolver, FuzzMatchesWideSolverAndReference) {
+  dcsn::util::Rng rng(0x5a11);
+  RowTally tally;
+  for (int iter = 0; iter < 3000; ++iter) {
+    // Vertices on a quarter-pixel grid half the time: edges through pixel
+    // centres, vertices on them — the top-left tie cases.
+    const bool snap = iter % 2 == 0;
+    const auto coord = [&](double centre, double reach) {
+      const double v = centre + rng.uniform(-reach, reach);
+      return static_cast<float>(snap ? std::round(v * 4.0) / 4.0 : v);
+    };
+    const double cx = rng.uniform(-8.0, 72.0);
+    const double cy = rng.uniform(-8.0, 56.0);
+    const double reach = rng.uniform(0.2, 6.0);
+    const MeshVertex a = vtx(coord(cx, reach), coord(cy, reach));
+    const MeshVertex b = vtx(coord(cx, reach), coord(cy, reach));
+    const MeshVertex c = vtx(coord(cx, reach), coord(cy, reach));
+    // The full 64x48 texture, or a clipped tile of it.
+    if (iter % 3 == 0) {
+      expect_row_solvers_agree(a, b, c, 0, 0, 64, 48, tally);
+    } else {
+      const int ox = static_cast<int>(rng.uniform(0.0, 40.0));
+      const int oy = static_cast<int>(rng.uniform(0.0, 30.0));
+      expect_row_solvers_agree(a, b, c, ox, oy, 1 + static_cast<int>(rng.uniform(0.0, 23.0)),
+                               1 + static_cast<int>(rng.uniform(0.0, 17.0)), tally);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // The fuzz must actually exercise the small-triangle solver.
+  EXPECT_GT(tally.small_served, tally.triangles / 5);
+}
+
+TEST(SmallTriangleSolver, HostileInputMatchesWideSolverAndReference) {
+  RowTally tally;
+  // Off-target, non-finite and far off-screen vertices.
+  expect_row_solvers_agree(vtx(-30, -30), vtx(-26, -30), vtx(-28, -25), 0, 0, 64, 48, tally);
+  expect_row_solvers_agree(vtx(kNaN, 5), vtx(8, 5), vtx(5, 9), 0, 0, 64, 48, tally);
+  expect_row_solvers_agree(vtx(5, 5), vtx(8, kInf), vtx(5, 9), 0, 0, 64, 48, tally);
+  expect_row_solvers_agree(vtx(-1e12f, 10), vtx(12, 10), vtx(12, 14), 0, 0, 64, 48, tally);
+  expect_row_solvers_agree(vtx(3, -1e12f), vtx(5, 20), vtx(1, 20), 0, 0, 64, 48, tally);
+  expect_row_solvers_agree(vtx(1e12f, 1e12f), vtx(-1e12f, 1e12f), vtx(10, -1e12f), 0, 0,
+                           64, 48, tally);
+  // Exact ties: edges through pixel centres and vertices on them, for
+  // triangles inside one 8-column window, on and off the target's edges.
+  for (float off = -1.0f; off <= 1.0f; off += 0.25f) {
+    expect_row_solvers_agree(vtx(2.5f + off, 2.5f), vtx(6.5f + off, 2.5f),
+                             vtx(2.5f + off, 6.5f), 0, 0, 64, 48, tally);
+    expect_row_solvers_agree(vtx(6.5f, 2.5f + off), vtx(6.5f, 6.5f + off),
+                             vtx(2.5f, 4.5f + off), 0, 0, 64, 48, tally);
+    expect_row_solvers_agree(vtx(0.5f + off, 0.5f), vtx(4.5f + off, 0.5f),
+                             vtx(0.5f, 4.5f + off), 2, 1, 8, 8, tally);
+  }
+  // Sub-pixel slivers and single-row triangles.
+  expect_row_solvers_agree(vtx(3.1f, 3.2f), vtx(3.4f, 3.3f), vtx(3.2f, 3.45f), 0, 0, 64,
+                           48, tally);
+  expect_row_solvers_agree(vtx(1.0f, 7.45f), vtx(9.0f, 7.45f), vtx(5.0f, 7.55f), 0, 0, 64,
+                           48, tally);
+  EXPECT_GT(tally.small_served, 0);
 }
 
 TEST(SpanIntegration, SynthesizerAlgorithmEquivalence) {

@@ -17,8 +17,9 @@
 //  2. the fused span sampler on synthetic 32.32 fixed-point walks over
 //     special-valued profile tables, including the slightly-negative
 //     positions whose clamp is the subtlest part of the vector port, plus
-//     the batched form (which may reorder and pack non-aliasing spans)
-//     against span-by-span calls;
+//     the batched form (which may reorder and pack spans, but must blend
+//     overlapping spans one read-modify-write at a time) against
+//     span-by-span calls;
 //  3. a whole-engine render per tier, hashes compared pairwise — the
 //     end-to-end proof that tier choice cannot move one bit of a frame.
 //
@@ -237,8 +238,8 @@ TEST(SimdKernels, FusedSpanSamplerMatchesScalarBitwise) {
   }
 }
 
-// The batched kernels may reorder and pack spans (their documented license:
-// batch spans never alias). Lay spans on disjoint rows of one destination
+// The batched kernels may reorder and pack spans (whole per-span blends
+// commute on the lattice). Lay spans on disjoint rows of one destination
 // and require the whole buffer to match span-by-span scalar calls — on
 // every tier, with mixed short/single-block/multi-block lengths, zero
 // lengths, a batch bigger than the internal chunking, and a batch whose
@@ -288,6 +289,58 @@ TEST(SimdKernels, BatchedSpanKernelMatchesPerSpanCalls) {
       } else {
         for (std::size_t i = 0; i < count; ++i) {
           scalar.sample_row_max(want_dst[i], raw[i], lens[i]);
+        }
+        k.sample_rows_max(got_dst.data(), raw.data(), lens.data(), count);
+      }
+      EXPECT_BYTES_EQ(want, got, tier);
+    }
+  }
+}
+
+// Spans of one batch may overlap (the rasterizer batches a whole mesh, and a
+// folded ribbon's triangles share pixels). Each span's blend must still be
+// its own read-modify-write: pile many short and multi-block spans onto a
+// narrow lattice-valued row — where additions are exact, so any order of
+// whole per-span blends gives the same bits — and require the batched
+// kernel to match span-by-span scalar calls on every tier. A tier that
+// packed two overlapping tails into one load/store block would drop one.
+TEST(SimdKernels, BatchedSpanKernelOverlappingSpansMatchPerSpanCalls) {
+  const auto& scalar = simd::kernels_for(simd::Tier::kScalar);
+  util::Rng rng(0x0e71a9u);
+  const auto table = fuzz_buffer(rng, kTableStride * kTableRows);
+  std::vector<float> smooth(table.size());
+  for (float& t : smooth) t = static_cast<float>(rng.uniform());
+  constexpr std::size_t kWidth = 24;
+  for (const simd::Tier tier : simd::available_tiers()) {
+    const auto& k = simd::kernels_for(tier);
+    for (int round = 0; round < 200; ++round) {
+      const std::size_t count = 2 + rng() % 40;
+      std::vector<simd::SampleSpan> raw;
+      std::vector<std::uint32_t> lens;
+      std::vector<std::size_t> offsets;
+      for (std::size_t i = 0; i < count; ++i) {
+        FuzzSpan f = make_span(rng, smooth, round % 4 == 0 ? 12 : 4);
+        f.span.weight = static_cast<float>(rng.uniform(-1.0, 1.0));
+        offsets.push_back(rng() % (kWidth - f.len + 1));
+        raw.push_back(f.span);
+        lens.push_back(f.len);
+      }
+      std::vector<float> base(kWidth);
+      for (float& v : base) {
+        v = simd::quantize_contribution(static_cast<float>(rng.uniform(-4.0, 4.0)));
+      }
+      auto want = base;
+      auto got = base;
+      std::vector<float*> got_dst(count);
+      for (std::size_t i = 0; i < count; ++i) got_dst[i] = got.data() + offsets[i];
+      if (round % 2 == 0) {
+        for (std::size_t i = 0; i < count; ++i) {
+          scalar.sample_row_add(want.data() + offsets[i], raw[i], lens[i]);
+        }
+        k.sample_rows_add(got_dst.data(), raw.data(), lens.data(), count);
+      } else {
+        for (std::size_t i = 0; i < count; ++i) {
+          scalar.sample_row_max(want.data() + offsets[i], raw[i], lens[i]);
         }
         k.sample_rows_max(got_dst.data(), raw.data(), lens.data(), count);
       }
