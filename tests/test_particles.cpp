@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <vector>
 
 #include "field/analytic.hpp"
 #include "particles/integrators.hpp"
@@ -145,6 +147,166 @@ TEST(Tracer, BackwardPointsPrecedeSeed) {
   // Points must be ordered upstream -> downstream.
   for (std::size_t k = 1; k < line.size(); ++k)
     EXPECT_GT(line.points[k].x, line.points[k - 1].x);
+}
+
+// Counts field samples, so a test can pin what one trace costs.
+class CountingField final : public field::VectorField {
+ public:
+  explicit CountingField(const field::VectorField& base) : base_(base) {}
+  [[nodiscard]] Vec2 sample(Vec2 p) const override {
+    ++samples;
+    return base_.sample(p);
+  }
+  [[nodiscard]] Rect domain() const override { return base_.domain(); }
+  [[nodiscard]] double max_magnitude() const override { return base_.max_magnitude(); }
+  mutable int samples = 0;
+
+ private:
+  const field::VectorField& base_;
+};
+
+TEST(Tracer, SamplesFourTimesPerRk4StepPlusOne) {
+  const auto vortex = field::analytic::rankine_vortex({5, 5}, 1.0, 1.5, Rect{0, 0, 10, 10});
+  const CountingField f(*vortex);
+  particles::TracerConfig config;
+  config.step_length = 0.05;
+  struct Case {
+    particles::Integrator method;
+    int per_step;
+  };
+  for (const Case c : {Case{particles::Integrator::kRk4, 4}, Case{particles::Integrator::kRk2, 2},
+                       Case{particles::Integrator::kEuler, 1}}) {
+    config.method = c.method;
+    const particles::StreamlineTracer tracer(config);
+    f.samples = 0;
+    const auto line = tracer.trace(f, {6.0, 5.0}, 12, 0);
+    ASSERT_EQ(line.size(), 13u);  // no early stop
+    EXPECT_EQ(f.samples, c.per_step * 12 + 1);
+    f.samples = 0;
+    particles::Streamline reused;
+    tracer.trace(f, {6.0, 5.0}, 7, 8, reused);
+    ASSERT_EQ(reused.size(), 16u);
+    EXPECT_EQ(f.samples, c.per_step * 15 + 1);
+  }
+}
+
+// The tracer loop before it reused the velocity at each point: one sample
+// for the stagnation check, a full self-sampling step, one for the tangent,
+// with separate upstream/downstream buffers. Kept verbatim as the oracle.
+class LegacyUnitSpeedField final : public field::VectorField {
+ public:
+  LegacyUnitSpeedField(const field::VectorField& base, double direction,
+                       double stagnation_speed)
+      : base_(base), direction_(direction), stagnation_(stagnation_speed) {}
+  [[nodiscard]] Vec2 sample(Vec2 p) const override {
+    const Vec2 v = base_.sample(p);
+    const double len = v.length();
+    if (len < stagnation_) return {};
+    return v * (direction_ / len);
+  }
+  [[nodiscard]] Rect domain() const override { return base_.domain(); }
+  [[nodiscard]] double max_magnitude() const override { return 1.0; }
+
+ private:
+  const field::VectorField& base_;
+  double direction_;
+  double stagnation_;
+};
+
+particles::Streamline legacy_trace(const particles::TracerConfig& config,
+                                   const field::VectorField& f, Vec2 seed,
+                                   int steps_forward, int steps_backward) {
+  const Rect domain = f.domain();
+  auto march = [&](double direction, int steps, std::vector<Vec2>& pts,
+                   std::vector<Vec2>& tans) {
+    const LegacyUnitSpeedField unit(f, direction, config.stagnation_speed);
+    Vec2 p = seed;
+    for (int k = 0; k < steps; ++k) {
+      const Vec2 v = unit.sample(p);
+      if (v.length_sq() == 0.0) break;
+      const Vec2 next = particles::step(unit, p, config.step_length, config.method);
+      if (config.clamp_to_domain && !domain.contains(next)) break;
+      if ((next - p).length_sq() == 0.0) break;
+      p = next;
+      pts.push_back(p);
+      tans.push_back(unit.sample(p) * direction);
+    }
+  };
+  std::vector<Vec2> fwd_pts, fwd_tans, bwd_pts, bwd_tans;
+  march(+1.0, steps_forward, fwd_pts, fwd_tans);
+  march(-1.0, steps_backward, bwd_pts, bwd_tans);
+  particles::Streamline line;
+  for (auto it = bwd_pts.rbegin(); it != bwd_pts.rend(); ++it) line.points.push_back(*it);
+  for (auto it = bwd_tans.rbegin(); it != bwd_tans.rend(); ++it) line.tangents.push_back(*it);
+  line.seed_index = line.points.size();
+  line.points.push_back(seed);
+  const Vec2 v = f.sample(seed);
+  const double len = v.length();
+  line.tangents.push_back(len >= config.stagnation_speed ? v / len : Vec2{1.0, 0.0});
+  line.points.insert(line.points.end(), fwd_pts.begin(), fwd_pts.end());
+  line.tangents.insert(line.tangents.end(), fwd_tans.begin(), fwd_tans.end());
+  return line;
+}
+
+bool bitwise_equal(const std::vector<Vec2>& a, const std::vector<Vec2>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec2)) == 0);
+}
+
+TEST(Tracer, MatchesLegacyLoopBitwiseForEveryIntegratorAndStop) {
+  const Rect domain{0, 0, 10, 10};
+  // An outward spiral around (4.9, 5.3) that dies beyond radius 3
+  // (stagnation stop), and a uniform drift toward the right edge
+  // (domain-exit stop).
+  const field::CallableField spiral(
+      [](Vec2 p) -> Vec2 {
+        const Vec2 r = p - Vec2{4.9, 5.3};
+        if (r.length() > 3.0) return {};
+        return Vec2{-r.y + 0.2 * r.x, r.x + 0.2 * r.y};
+      },
+      domain, 4.0);
+  const auto drift = field::analytic::uniform({1.0, 0.3}, domain);
+  struct Case {
+    const field::VectorField* f;
+    Vec2 seed;
+    double step;
+    int fwd, bwd;
+    bool stops_early;
+  };
+  const Case cases[] = {
+      {&spiral, {5.5, 5.3}, 0.07, 40, 40, false},  // curved, full length
+      {&spiral, {7.5, 5.3}, 0.3, 30, 30, true},    // spirals into the dead zone
+      {drift.get(), {9.0, 5.0}, 0.25, 30, 30, true},  // leaves the domain
+      {&spiral, {8.5, 5.3}, 0.2, 10, 10, true},    // seeded in the dead zone
+      {&spiral, {5.5, 5.3}, 1e-300, 5, 5, true},   // steps too small to move
+      {&spiral, {5.0, 5.0}, 0.1, 0, 0, false},     // seed only
+  };
+  particles::Streamline reused;  // also exercises buffer reuse across traces
+  for (const auto method : {particles::Integrator::kEuler, particles::Integrator::kRk2,
+                            particles::Integrator::kRk4}) {
+    for (const Case& c : cases) {
+      particles::TracerConfig config;
+      config.method = method;
+      config.step_length = c.step;
+      const particles::StreamlineTracer tracer(config);
+      const auto want = legacy_trace(config, *c.f, c.seed, c.fwd, c.bwd);
+      const std::size_t full = static_cast<std::size_t>(c.fwd + c.bwd + 1);
+      EXPECT_EQ(want.size() < full, c.stops_early)
+          << "seed (" << c.seed.x << ", " << c.seed.y << ")";
+      const auto got = tracer.trace(*c.f, c.seed, c.fwd, c.bwd);
+      tracer.trace(*c.f, c.seed, c.fwd, c.bwd, reused);
+      const particles::Streamline* const lines[] = {&got, &reused};
+      for (const particles::Streamline* line : lines) {
+        EXPECT_EQ(line->seed_index, want.seed_index);
+        EXPECT_TRUE(bitwise_equal(line->points, want.points))
+            << "method " << static_cast<int>(method) << " seed (" << c.seed.x << ", "
+            << c.seed.y << ")";
+        EXPECT_TRUE(bitwise_equal(line->tangents, want.tangents))
+            << "method " << static_cast<int>(method) << " seed (" << c.seed.x << ", "
+            << c.seed.y << ")";
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- ParticleSystem ---
