@@ -1,5 +1,6 @@
 #include "render/pipe.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 
@@ -48,6 +49,8 @@ void GraphicsPipe::submit(CommandBuffer buffer) {
 
 void GraphicsPipe::submit_with_state_changes(CommandBuffer buffer, int count) {
   if (buffer.empty() && count == 0) return;
+  // determinism: timing model only — stall accounting, not pixels.
+  const auto queued_at = Bus::Clock::now();
   const std::size_t bytes = buffer.byte_size();
   const auto available_at =
       bus_ ? bus_->schedule(bytes)
@@ -57,7 +60,7 @@ void GraphicsPipe::submit_with_state_changes(CommandBuffer buffer, int count) {
     util::MutexLock lock(stats_mutex_);
     stats_.bytes_received += bytes;
   }
-  queue_.push(CmdDraw{std::move(buffer), available_at, count});
+  queue_.push(CmdDraw{std::move(buffer), queued_at, available_at, count});
 }
 
 void GraphicsPipe::finish() {
@@ -93,6 +96,9 @@ void GraphicsPipe::server_loop(std::stop_token /*stop*/) {
   util::set_current_thread_name("gpipe-" + std::to_string(pipe_id_));
   while (auto cmd = queue_.pop()) {
     execute(*cmd);
+    // A fence stamps itself before it wakes the caller (see CmdFence).
+    // determinism: timing model only — stall accounting, not pixels.
+    if (!std::holds_alternative<CmdFence>(*cmd)) idle_since_ = Bus::Clock::now();
   }
 }
 
@@ -144,12 +150,17 @@ void GraphicsPipe::execute(Command& cmd) {
     }
 
     void operator()(CmdDraw& c) {
-      // Wait for the bus to deliver the vertex data (DMA completion).
+      // Wait for the bus to deliver the vertex data (DMA completion). The
+      // stall is counted from when the pipe could have started the draw —
+      // it was queued and the previous command had finished — not from
+      // when this thread got to dequeue it, so host scheduling latency
+      // cannot hide a transfer that was still in flight.
       // determinism: timing model only — stall accounting, not pixels.
       const auto now = Bus::Clock::now();
-      if (c.available_at > now) {
-        const double stall = std::chrono::duration<double>(c.available_at - now).count();
-        std::this_thread::sleep_until(c.available_at);
+      const auto ready = std::max(c.queued_at, pipe.idle_since_);
+      if (c.available_at > ready) {
+        const double stall = std::chrono::duration<double>(c.available_at - ready).count();
+        if (c.available_at > now) std::this_thread::sleep_until(c.available_at);
         util::MutexLock lock(pipe.stats_mutex_);
         pipe.stats_.stall_seconds += stall;
       }
@@ -201,7 +212,13 @@ void GraphicsPipe::execute(Command& cmd) {
       pipe.stats_.busy_seconds += busy + state_time;
     }
 
-    void operator()(CmdFence& c) { c.done.set_value(); }
+    void operator()(CmdFence& c) {
+      // The pipe is idle from here: stamp it before the caller wakes and
+      // queues more work.
+      // determinism: timing model only — stall accounting, not pixels.
+      pipe.idle_since_ = Bus::Clock::now();
+      c.done.set_value();
+    }
 
     static void zero_weight_pass(const RasterTarget& target, const CommandBuffer& buf,
                                  const SpotProfile& profile, RasterStats& stats) {

@@ -142,7 +142,8 @@ class GraphicsPipe {
   };
   struct CmdDraw {
     CommandBuffer buffer;
-    Bus::Clock::time_point available_at;
+    Bus::Clock::time_point queued_at;     ///< submit time, before the bus
+    Bus::Clock::time_point available_at;  ///< when the bus delivers it
     int extra_state_changes;
   };
   struct CmdFence {
@@ -168,6 +169,8 @@ class GraphicsPipe {
   BlendMode blend_mode_ = BlendMode::kAdditive;  // lock-lint: unguarded(server thread only)
   int viewport_x_ = 0;      // lock-lint: unguarded(server thread only)
   int viewport_y_ = 0;      // lock-lint: unguarded(server thread only)
+  /// When the server finished its last command (stall accounting).
+  Bus::Clock::time_point idle_since_;  // lock-lint: unguarded(server thread only)
 
   util::BoundedQueue<Command> queue_;  // lock-lint: unguarded(internally synchronized)
   mutable util::Mutex stats_mutex_;
