@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <numbers>
 #include <string>
 #include <vector>
 
@@ -133,20 +134,21 @@ RibbonWorkload make_ribbon_workload(bool smoke) {
   return r;
 }
 
-render::RasterStats rasterize_once(const RibbonWorkload& r, render::Framebuffer& fb,
+render::RasterStats rasterize_once(const render::SpotProfile& profile,
+                                   render::Framebuffer& fb,
                                    render::RasterAlgorithm algo,
                                    render::BlendMode mode,
                                    const render::CommandBuffer& buffer) {
   render::RasterStats stats;
   fb.clear();
-  render::rasterize_buffer({fb.pixels(), 0, 0, algo}, buffer, *r.profile,
-                           mode, stats);
+  render::rasterize_buffer({fb.pixels(), 0, 0, algo}, buffer, profile, mode, stats);
   return stats;
 }
 
 
 struct KernelRate {
   double seconds = 0.0;
+  double seconds_per_pass = 0.0;
   double frags_per_second = 0.0;
   render::RasterStats stats;
 };
@@ -157,8 +159,8 @@ struct KernelRate {
 
 // The captured spans re-armed for replay, SoA like the rasterizer's batch
 // buffers. `offsets` preserve each span's real framebuffer address so the
-// replay touches memory in the rasterizer's own pattern; `groups` records
-// how many spans each triangle produced — the production flush unit.
+// replay touches memory in the rasterizer's own pattern; `groups` splits
+// the spans into the production flush unit (128-span batches).
 struct SpanWorkload {
   std::vector<util::simd::SampleSpan> spans;
   std::vector<std::uint32_t> lens;
@@ -176,7 +178,9 @@ struct SpanWorkload {
 // in-range UV walk at the workload's texels-per-pixel scale (the profile
 // spans the spot diameter), so the replay performs the same gathers, lerps
 // and lattice snaps as a production span of that length and address.
-SpanWorkload capture_spans(const RibbonWorkload& r, render::Framebuffer& fb) {
+SpanWorkload capture_spans(const render::CommandBuffer& coverage,
+                           const render::SpotProfile& profile, double spot_radius_px,
+                           render::Framebuffer& fb) {
   SpanWorkload out;
   fb.clear();
   const render::RasterTarget target{fb.pixels(), 0, 0,
@@ -193,8 +197,7 @@ SpanWorkload capture_spans(const RibbonWorkload& r, render::Framebuffer& fb) {
   auto capture_triangle = [&](const render::MeshVertex& a,
                               const render::MeshVertex& b,
                               const render::MeshVertex& c) {
-    const std::size_t first = runs.size();
-    render::rasterize_triangle(target, a, b, c, 1.0f, *r.profile,
+    render::rasterize_triangle(target, a, b, c, 1.0f, profile,
                                render::BlendMode::kAdditive, stats);
     // Scan only the triangle's bbox rows, zeroing the runs found so the
     // scratch target is clean for the next triangle.
@@ -223,17 +226,9 @@ SpanWorkload capture_spans(const RibbonWorkload& r, render::Framebuffer& fb) {
                         static_cast<std::uint32_t>(x - start)});
       }
     }
-    // Record the triangle's span count as a replay batch, split at the
-    // rasterizer's own flush granularity (kSpanBatch rows per flush).
-    std::size_t produced = runs.size() - first;
-    while (produced > 64) {
-      out.groups.push_back(64);
-      produced -= 64;
-    }
-    if (produced > 0) out.groups.push_back(static_cast<std::uint32_t>(produced));
   };
-  for (const render::MeshHeader& h : r.coverage.meshes()) {
-    const auto verts = r.coverage.vertices_of(h);
+  for (const render::MeshHeader& h : coverage.meshes()) {
+    const auto verts = coverage.vertices_of(h);
     auto vertex = [&](int i, int j) -> const render::MeshVertex& {
       return verts[static_cast<std::size_t>(j) * h.cols +
                    static_cast<std::size_t>(i)];
@@ -247,12 +242,20 @@ SpanWorkload capture_spans(const RibbonWorkload& r, render::Framebuffer& fb) {
     }
   }
 
+  // Replay batches at the rasterizer's flush granularity: one span batch
+  // serves every triangle of a rasterize call and flushes every 128 spans.
+  for (std::size_t left = runs.size(); left > 0;) {
+    const std::size_t g = std::min<std::size_t>(left, 128);
+    out.groups.push_back(static_cast<std::uint32_t>(g));
+    left -= g;
+  }
+
   // Re-arm each run with a UV walk that stays in [0,1)^2 (the rasterizer's
   // in-range sub-span guarantee). |du| per fragment ~ 1/(spot diameter in
   // pixels), varied and sign-flipped per span; long spans scale the step
   // down exactly as a long chord through the profile does.
   util::Rng rng(0x5ba9u);
-  const double du_base = 1.0 / (2.0 * r.workload.synthesis.spot_radius_px);
+  const double du_base = 1.0 / (2.0 * spot_radius_px);
   out.spans.reserve(runs.size());
   for (const Run& run : runs) {
     const double steps = static_cast<double>(run.length) - 1.0;
@@ -267,7 +270,7 @@ SpanWorkload capture_spans(const RibbonWorkload& r, render::Framebuffer& fb) {
                                 : rng.uniform(0.02 + walk_u, 0.96);
     const double v0 = dv >= 0.0 ? rng.uniform(0.02, 0.96 - walk_v)
                                 : rng.uniform(0.02 + walk_v, 0.96);
-    render::SpotProfile::RowSampler sampler(*r.profile, du, dv);
+    render::SpotProfile::RowSampler sampler(profile, du, dv);
     sampler.start_row(u0, v0);
     out.spans.push_back(
         sampler.span(0, static_cast<float>(rng.uniform(0.002, 0.02))));
@@ -294,8 +297,8 @@ double measure_tier_bout(const util::simd::KernelTable& kernels,
     dst_ptrs[i] = dst.data() + work.offsets[i];
   }
   // Replay through the batched kernel at the rasterizer's flush granularity
-  // (one triangle's rows per call) so the measurement covers the production
-  // call pattern, not an idealized single-span loop.
+  // (128-span batches across triangles) so the measurement covers the
+  // production call pattern, not an idealized single-span loop.
   auto replay = [&] {
     std::size_t base = 0;
     for (const std::uint32_t g : work.groups) {
@@ -317,24 +320,132 @@ double measure_tier_bout(const util::simd::KernelTable& kernels,
          seconds;
 }
 
-KernelRate measure_kernel(const RibbonWorkload& r, render::Framebuffer& fb,
+KernelRate measure_kernel(const render::SpotProfile& profile,
+                          const render::CommandBuffer& geometry, render::Framebuffer& fb,
                           render::RasterAlgorithm algo, double min_seconds) {
   // One warm-up pass, then repeat whole-buffer rasterizations until the
   // thread-CPU clock has accumulated a stable measurement.
-  (void)rasterize_once(r, fb, algo, render::BlendMode::kAdditive, r.geometry);
+  (void)rasterize_once(profile, fb, algo, render::BlendMode::kAdditive, geometry);
   KernelRate rate;
   std::int64_t reps = 0;
   const util::ThreadCpuStopwatch watch;
   do {
-    rate.stats = rasterize_once(r, fb, algo, render::BlendMode::kAdditive,
-                                r.geometry);
+    rate.stats = rasterize_once(profile, fb, algo, render::BlendMode::kAdditive, geometry);
     ++reps;
     rate.seconds = watch.seconds();
   } while (rate.seconds < min_seconds);
   rate.frags_per_second =
       static_cast<double>(rate.stats.fragments) * static_cast<double>(reps) /
       rate.seconds;
+  rate.seconds_per_pass = rate.seconds / static_cast<double>(reps);
   return rate;
+}
+
+struct TierRate {
+  util::simd::Tier tier;
+  double frags_per_second;
+};
+
+struct TierAblation {
+  std::vector<TierRate> rates;  ///< median bout per available tier
+  double scalar_rate = 0.0;
+  double avx2_rate = 0.0;       ///< 0 without AVX2
+  double avx2_speedup = 0.0;    ///< median per-round avx2/scalar ratio
+};
+
+// Interleaved rounds (the tier order rotates each round); a tier's rate is
+// its median bout and the AVX2 speedup the median of the per-round
+// avx2/scalar ratios.
+TierAblation ablate_tiers(const SpanWorkload& work, int pixels, int rounds,
+                          double bout_seconds) {
+  TierAblation out;
+  std::vector<float> replay_dst(static_cast<std::size_t>(pixels));
+  std::vector<float*> replay_ptrs;
+  for (const util::simd::Tier t : util::simd::available_tiers()) {
+    out.rates.push_back({t, 0.0});
+  }
+  std::vector<std::vector<double>> bouts(out.rates.size());
+  std::vector<double> ratios;
+  for (int round = 0; round < rounds; ++round) {
+    std::vector<double> this_round(out.rates.size());
+    for (std::size_t i = 0; i < out.rates.size(); ++i) {
+      const std::size_t t = (i + static_cast<std::size_t>(round)) % out.rates.size();
+      this_round[t] = measure_tier_bout(util::simd::kernels_for(out.rates[t].tier), work,
+                                        replay_dst, replay_ptrs, bout_seconds);
+      bouts[t].push_back(this_round[t]);
+    }
+    double round_scalar = 0.0;
+    double round_avx2 = 0.0;
+    for (std::size_t t = 0; t < out.rates.size(); ++t) {
+      if (out.rates[t].tier == util::simd::Tier::kScalar) round_scalar = this_round[t];
+      if (out.rates[t].tier == util::simd::Tier::kAvx2) round_avx2 = this_round[t];
+    }
+    if (round_scalar > 0.0 && round_avx2 > 0.0) ratios.push_back(round_avx2 / round_scalar);
+  }
+  for (std::size_t t = 0; t < out.rates.size(); ++t) {
+    out.rates[t].frags_per_second = util::percentile(bouts[t], 0.5);
+    if (out.rates[t].tier == util::simd::Tier::kScalar) {
+      out.scalar_rate = out.rates[t].frags_per_second;
+    }
+    if (out.rates[t].tier == util::simd::Tier::kAvx2) {
+      out.avx2_rate = out.rates[t].frags_per_second;
+    }
+  }
+  if (!ratios.empty()) out.avx2_speedup = util::percentile(ratios, 0.5);
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Small-triangle workload: the served bent_full frame's own meshes
+// ---------------------------------------------------------------------------
+
+// e2ebench's bent_full frame: 2500 bent 16x3 spots of 48 px on a 512^2
+// texture through a Rankine vortex (strength 1.2, core 0.8 on [0,4]^2),
+// seeded over the disc inscribed in the domain. Its triangles average ~13
+// fragments and its spans ~2.4, so per-triangle setup and per-row solving
+// — not the blend kernel — decide the frame time.
+struct SmallTriangleWorkload {
+  render::CommandBuffer geometry;
+  render::CommandBuffer coverage;  // constant UV, unit weight
+  std::shared_ptr<const render::SpotProfile> profile;
+  int width = 0;
+  double spot_radius_px = 0.0;
+};
+
+SmallTriangleWorkload make_small_triangle_workload(bool smoke) {
+  SmallTriangleWorkload st;
+  core::SynthesisConfig sc;
+  sc.texture_width = smoke ? 128 : 512;
+  sc.texture_height = sc.texture_width;
+  sc.spot_count = smoke ? 300 : 2500;
+  sc.kind = core::SpotKind::kBent;
+  sc.bent.mesh_cols = 16;
+  sc.bent.mesh_rows = 3;
+  sc.bent.length_px = smoke ? 12.0 : 48.0;
+  const auto field = field::analytic::rankine_vortex({2.0, 2.0}, 1.2, 0.8, {0, 0, 4, 4});
+  const core::SpotGeometryGenerator generator(sc, *field);
+  util::Rng rng(20261019);
+  for (std::int64_t k = 0; k < sc.spot_count; ++k) {
+    const double radius = 2.0 * std::sqrt(rng.uniform());
+    const double angle = 2.0 * std::numbers::pi * rng.uniform();
+    const core::SpotInstance spot{
+        {2.0 + radius * std::cos(angle), 2.0 + radius * std::sin(angle)},
+        (2.0 * rng.uniform() - 1.0) * 0.2};
+    generator.generate(spot, st.geometry);
+  }
+  for (const render::MeshHeader& h : st.geometry.meshes()) {
+    auto out = st.coverage.add_mesh(1.0f, h.cols, h.rows);
+    const auto in = st.geometry.vertices_of(h);
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      out[k] = in[k];
+      out[k].u = 0.5f;
+      out[k].v = 0.5f;
+    }
+  }
+  st.profile = render::SpotProfile::make_shared(sc.profile_shape, sc.profile_resolution);
+  st.width = sc.texture_width;
+  st.spot_radius_px = sc.spot_radius_px;
+  return st;
 }
 
 }  // namespace
@@ -358,21 +469,21 @@ int main(int argc, char** argv) {
   render::Framebuffer other(fb.width(), fb.height());
 
   // --- equivalence: values ---
-  const auto ref_stats = rasterize_once(r, fb, render::RasterAlgorithm::kReference,
+  const auto ref_stats = rasterize_once(*r.profile, fb, render::RasterAlgorithm::kReference,
                                         render::BlendMode::kAdditive, r.geometry);
-  const auto span_stats = rasterize_once(r, other, render::RasterAlgorithm::kSpan,
+  const auto span_stats = rasterize_once(*r.profile, other, render::RasterAlgorithm::kSpan,
                                          render::BlendMode::kAdditive, r.geometry);
   const float additive_dev = fb.max_abs_diff(other);
-  (void)rasterize_once(r, fb, render::RasterAlgorithm::kReference,
+  (void)rasterize_once(*r.profile, fb, render::RasterAlgorithm::kReference,
                        render::BlendMode::kMaximum, r.geometry);
-  (void)rasterize_once(r, other, render::RasterAlgorithm::kSpan,
+  (void)rasterize_once(*r.profile, other, render::RasterAlgorithm::kSpan,
                        render::BlendMode::kMaximum, r.geometry);
   const float maximum_dev = fb.max_abs_diff(other);
 
   // --- equivalence: exact coverage ---
-  (void)rasterize_once(r, fb, render::RasterAlgorithm::kReference,
+  (void)rasterize_once(*r.profile, fb, render::RasterAlgorithm::kReference,
                        render::BlendMode::kAdditive, r.coverage);
-  (void)rasterize_once(r, other, render::RasterAlgorithm::kSpan,
+  (void)rasterize_once(*r.profile, other, render::RasterAlgorithm::kSpan,
                        render::BlendMode::kAdditive, r.coverage);
   const bool coverage_identical =
       fb == other && ref_stats.fragments == span_stats.fragments;
@@ -400,9 +511,9 @@ int main(int argc, char** argv) {
   std::vector<double> ref_fps, span_fps, speedups;
   for (int rep = 0; rep < repetitions; ++rep) {
     const bool ref_first = rep % 2 == 0;
-    if (ref_first) ref = measure_kernel(r, fb, render::RasterAlgorithm::kReference, min_seconds);
-    span = measure_kernel(r, fb, render::RasterAlgorithm::kSpan, min_seconds);
-    if (!ref_first) ref = measure_kernel(r, fb, render::RasterAlgorithm::kReference, min_seconds);
+    if (ref_first) ref = measure_kernel(*r.profile, r.geometry, fb, render::RasterAlgorithm::kReference, min_seconds);
+    span = measure_kernel(*r.profile, r.geometry, fb, render::RasterAlgorithm::kSpan, min_seconds);
+    if (!ref_first) ref = measure_kernel(*r.profile, r.geometry, fb, render::RasterAlgorithm::kReference, min_seconds);
     ref_fps.push_back(ref.frags_per_second);
     span_fps.push_back(span.frags_per_second);
     speedups.push_back(span.frags_per_second / ref.frags_per_second);
@@ -428,54 +539,19 @@ int main(int argc, char** argv) {
   // walking, so the AVX2 gate is on the span kernel's own fragment
   // throughput: the workload's spans replayed through each tier's
   // sample_row_add in isolation.
-  const SpanWorkload span_work = capture_spans(r, fb);
+  const SpanWorkload span_work =
+      capture_spans(r.coverage, *r.profile, r.workload.synthesis.spot_radius_px, fb);
   std::printf("  tier ablation: %zu spans, %lld fragments, mean length %.1f\n",
               span_work.spans.size(),
               static_cast<long long>(span_work.fragments),
               span_work.mean_length);
   const double bout_seconds = smoke ? 0.04 : 0.15;
   const int bout_rounds = smoke ? 5 : 7;
-  std::vector<float> replay_dst(static_cast<std::size_t>(fb.width()) *
-                                static_cast<std::size_t>(fb.height()));
-  std::vector<float*> replay_ptrs;
-  struct TierRate {
-    util::simd::Tier tier;
-    double frags_per_second;
-  };
-  std::vector<TierRate> tier_rates;
-  for (const util::simd::Tier t : util::simd::available_tiers()) {
-    tier_rates.push_back({t, 0.0});
-  }
-  // Interleaved rounds (the tier order rotates each round); a tier's rate is
-  // its median bout and the AVX2 speedup the median of the per-round
-  // avx2/scalar ratios.
-  std::vector<std::vector<double>> bouts(tier_rates.size());
-  std::vector<double> tier_ratios;
-  for (int round = 0; round < bout_rounds; ++round) {
-    std::vector<double> this_round(tier_rates.size());
-    for (std::size_t i = 0; i < tier_rates.size(); ++i) {
-      const std::size_t t = (i + static_cast<std::size_t>(round)) % tier_rates.size();
-      this_round[t] = measure_tier_bout(util::simd::kernels_for(tier_rates[t].tier),
-                                        span_work, replay_dst, replay_ptrs, bout_seconds);
-      bouts[t].push_back(this_round[t]);
-    }
-    double round_scalar = 0.0;
-    double round_avx2 = 0.0;
-    for (std::size_t t = 0; t < tier_rates.size(); ++t) {
-      if (tier_rates[t].tier == util::simd::Tier::kScalar) round_scalar = this_round[t];
-      if (tier_rates[t].tier == util::simd::Tier::kAvx2) round_avx2 = this_round[t];
-    }
-    if (round_scalar > 0.0 && round_avx2 > 0.0) tier_ratios.push_back(round_avx2 / round_scalar);
-  }
-  for (std::size_t t = 0; t < tier_rates.size(); ++t) {
-    tier_rates[t].frags_per_second = util::percentile(bouts[t], 0.5);
-  }
-  double scalar_rate = 0.0;
-  double avx2_rate = 0.0;
-  for (const TierRate& tr : tier_rates) {
-    if (tr.tier == util::simd::Tier::kScalar) scalar_rate = tr.frags_per_second;
-    if (tr.tier == util::simd::Tier::kAvx2) avx2_rate = tr.frags_per_second;
-  }
+  const TierAblation tiers = ablate_tiers(span_work, fb.width() * fb.height(),
+                                          bout_rounds, bout_seconds);
+  const std::vector<TierRate>& tier_rates = tiers.rates;
+  const double scalar_rate = tiers.scalar_rate;
+  const double avx2_rate = tiers.avx2_rate;
   for (const TierRate& tr : tier_rates) {
     std::printf("    %-6s %8.2f Mfrag/s  (%.2fx scalar)\n",
                 util::simd::tier_name(tr.tier), tr.frags_per_second / 1e6,
@@ -483,7 +559,7 @@ int main(int argc, char** argv) {
   }
   const bool have_avx2 = avx2_rate > 0.0;
   const double tier_gate = smoke ? 1.2 : 1.5;
-  const double tier_speedup = have_avx2 ? util::percentile(tier_ratios, 0.5) : 0.0;
+  const double tier_speedup = tiers.avx2_speedup;
   if (have_avx2) {
     std::printf("  avx2 kernel speedup: %.2fx, median of %d interleaved rounds (gate: >= %.1fx)\n",
                 tier_speedup, bout_rounds, tier_gate);
@@ -504,6 +580,74 @@ int main(int argc, char** argv) {
               span_rates.stats.modeled_frame_seconds,
               ref_rates.stats.genT_critical_seconds,
               span_rates.stats.genT_critical_seconds);
+
+  // --- small triangles: the served bent_full frame's meshes ---
+  // Same interleaved reference/span pairs, on the frame whose ~13-fragment
+  // triangles make setup and row solving the cost. Coverage must match the
+  // reference exactly; the gate reads the median pair ratio.
+  const SmallTriangleWorkload st = make_small_triangle_workload(smoke);
+  const std::int64_t small_triangles = st.geometry.quad_count() * 2;
+  render::Framebuffer small_ref(st.width, st.width);
+  render::Framebuffer small_span(st.width, st.width);
+  const auto small_ref_cov = rasterize_once(*st.profile, small_ref,
+                                            render::RasterAlgorithm::kReference,
+                                            render::BlendMode::kAdditive, st.coverage);
+  const auto small_span_cov = rasterize_once(*st.profile, small_span,
+                                             render::RasterAlgorithm::kSpan,
+                                             render::BlendMode::kAdditive, st.coverage);
+  const bool small_identical =
+      small_ref == small_span && small_ref_cov.fragments == small_span_cov.fragments;
+  std::vector<double> small_ratios, small_ref_ns, small_span_ns;
+  KernelRate small_rate;
+  const double small_min_seconds = (smoke ? 0.3 : 1.2) / repetitions;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    KernelRate ref_rate;
+    const bool ref_first = rep % 2 == 0;
+    if (ref_first) {
+      ref_rate = measure_kernel(*st.profile, st.geometry, small_ref,
+                                render::RasterAlgorithm::kReference, small_min_seconds);
+    }
+    small_rate = measure_kernel(*st.profile, st.geometry, small_span,
+                                render::RasterAlgorithm::kSpan, small_min_seconds);
+    if (!ref_first) {
+      ref_rate = measure_kernel(*st.profile, st.geometry, small_ref,
+                                render::RasterAlgorithm::kReference, small_min_seconds);
+    }
+    small_ratios.push_back(small_rate.frags_per_second / ref_rate.frags_per_second);
+    small_ref_ns.push_back(ref_rate.seconds_per_pass * 1e9 /
+                           static_cast<double>(small_triangles));
+    small_span_ns.push_back(small_rate.seconds_per_pass * 1e9 /
+                            static_cast<double>(small_triangles));
+  }
+  const double small_speedup = util::percentile(small_ratios, 0.5);
+  const double small_gate = smoke ? 1.5 : 2.2;
+  const render::RasterStats& sst = small_rate.stats;
+  const double small_frags_per_tri =
+      static_cast<double>(sst.fragments) / static_cast<double>(small_triangles);
+  const double small_empty_share =
+      sst.span_rows > 0
+          ? static_cast<double>(sst.empty_rows) / static_cast<double>(sst.span_rows)
+          : 0.0;
+  const SpanWorkload small_spans = capture_spans(st.coverage, *st.profile,
+                                                 st.spot_radius_px, small_span);
+  const TierAblation small_tiers = ablate_tiers(small_spans, st.width * st.width,
+                                                bout_rounds, bout_seconds);
+  const bool small_pass = small_identical && small_speedup >= small_gate;
+  std::printf("== small triangles: bent_full frame (%s) ==\n", smoke ? "smoke" : "full");
+  std::printf("  %lld triangles, %.1f fragments/triangle, %.1f%% of walked rows empty, "
+              "mean span %.2f\n",
+              static_cast<long long>(small_triangles), small_frags_per_tri,
+              100.0 * small_empty_share, small_spans.mean_length);
+  std::printf("  coverage %s; reference %.1f ns/triangle, span %.1f ns/triangle\n",
+              small_identical ? "identical" : "DIFFERS",
+              util::percentile(small_ref_ns, 0.5), util::percentile(small_span_ns, 0.5));
+  std::printf("  speedup: %.2fx, median of %d interleaved pairs [%.2f, %.2f] (gate: >= %.1fx)\n",
+              small_speedup, repetitions, util::percentile(small_ratios, 0.0),
+              util::percentile(small_ratios, 1.0), small_gate);
+  if (small_tiers.avx2_rate > 0.0) {
+    std::printf("  span kernel on these spans: avx2 %.2fx scalar (reported, not gated)\n",
+                small_tiers.avx2_speedup);
+  }
 
   if (!json_path.empty()) {
     bench::JsonReport report;
@@ -543,6 +687,20 @@ int main(int argc, char** argv) {
     if (have_avx2) report.set("tier.speedup", tier_speedup);
     report.set("tier.gate.threshold", tier_gate);
     report.set("tier.gate.pass", tier_pass);
+    report.set("small.workload", std::string("bent_full frame"));
+    report.set("small.triangles", small_triangles);
+    report.set("small.fragments", sst.fragments);
+    report.set("small.frags_per_triangle", small_frags_per_tri);
+    report.set("small.span_rows", sst.span_rows);
+    report.set("small.empty_row_share", small_empty_share);
+    report.set("small.spans.mean_length", small_spans.mean_length);
+    report.set("small.ref.ns_per_triangle", util::percentile(small_ref_ns, 0.5));
+    report.set("small.span.ns_per_triangle", util::percentile(small_span_ns, 0.5));
+    report.set("small.speedup", small_speedup);
+    report.set("small.coverage_identical", small_identical);
+    report.set("small.gate.threshold", small_gate);
+    report.set("small.gate.pass", small_pass);
+    if (small_tiers.avx2_rate > 0.0) report.set("small.tier.speedup", small_tiers.avx2_speedup);
     report.set("simd.tier",
                util::simd::tier_name(util::simd::active_tier()));
     report.set("simd.cpu", util::simd::cpu_flags());
@@ -555,6 +713,15 @@ int main(int argc, char** argv) {
   }
   if (speedup < gate) {
     std::printf("FAIL: speedup %.2fx below the %.1fx gate\n", speedup, gate);
+    return 1;
+  }
+  if (!small_identical) {
+    std::printf("FAIL: small-triangle span/reference coverage differs\n");
+    return 1;
+  }
+  if (small_speedup < small_gate) {
+    std::printf("FAIL: small-triangle speedup %.2fx below the %.1fx gate\n",
+                small_speedup, small_gate);
     return 1;
   }
   if (!tier_pass) {
