@@ -435,11 +435,11 @@ SpanFrame span_frame(const TriSetup& s) {
 // expression plus one in each canonical edge direction), where
 //   S_i = |dx_i| * (|py - v.y| + |ky|) + |dy_i| * (|px - v.x| + |kx|).
 // With eps = 16u * max_i S_i (a 2x margin that also absorbs this bound's
-// own double rounding), every P with d > 2H*eps/A has a computed value
-// < 0 on some edge: rejected, top-left edges included. Columns follow by
-// symmetry with the width W. A is bounded from below in double; where the
-// bound degenerates (near-zero area, non-finite values, far off-screen
-// coordinates) the window is the bbox, which is always correct.
+// own rounding), every P with d > 2H*eps/A has a computed value < 0 on
+// some edge: rejected, top-left edges included. Columns follow by symmetry
+// with the width W. A is bounded from below (TriSetup::area_lo); where the
+// bound degenerates (near-zero area, a clamped anchor, overflow) the
+// window is the bbox, which is always correct.
 // ---------------------------------------------------------------------------
 
 struct CoverageWindow {
@@ -451,15 +451,18 @@ struct CoverageWindow {
 // Starts from the bbox rows and the geometric solve window and trims, from
 // each end, the rows/columns whose centre lies more than d = 2*H*eps/A
 // outside the extent, compared as gap * A > 2*H*eps (no division). With
-// the anchor at the bbox corner, every term of S_i is bounded by the
-// extents W and H: |dx_i| <= W, |dy_i| <= H, |py - v.y| + |ky| <= 2H + 2.5,
-// |px - v.x| + |kx| <= 2W + 2.5, so S_i <= 4WH + 3(W + H) + 1 =: S for all
-// three edges, and the whole bound costs a handful of float operations
-// (their rounding, a few u relative, sits inside the 2x margin). A clamped
-// anchor, a degenerate area bound, or an overflowing S trims nothing.
+// the anchor unclamped at the bbox corner (ax = floor(min_x), so
+// 0 <= kx < W + 2 over the solve window, and likewise ky), every term of
+// S_i is bounded by the extents W and H: |dx_i| <= W, |dy_i| <= H,
+// |py - v.y| + |ky| <= 2H + 2.5, |px - v.x| + |kx| <= 2W + 2.5, so
+// S_i <= 4WH + 3(W + H) + 1 =: S for all three edges, and the whole bound
+// costs a handful of float operations (their rounding, a few u relative,
+// sits inside the 2x margin). A clamped anchor, a degenerate area bound, or
+// an overflowing S trims nothing.
 CoverageWindow coverage_window(const TriSetup& s, const SpanFrame& f) {
   CoverageWindow w{s.y_min, s.y_max, f.gfloor, f.gceil - 1};
-  if (!(s.area_lo > 0.0f) || !(s.min_x < kAnchorLimit) || !(s.min_y < kAnchorLimit)) {
+  if (!(s.area_lo > 0.0f) || !(std::abs(s.min_x) < kAnchorLimit) ||
+      !(std::abs(s.min_y) < kAnchorLimit)) {
     return w;
   }
   const float width = s.max_x - s.min_x;

@@ -13,10 +13,14 @@
 //
 //   * kSpan (default) — a span-based scanline kernel. Per row the three
 //     canonical edge functions are solved for the exact covered interval
-//     [x_start, x_end); inside it u, v and the bilinear fetch are stepped
-//     with per-triangle constants (SpotProfile::RowSampler) and blended
-//     through the util::simd kernels — a straight-line add/fetch/blend with
-//     no per-fragment branches, and no iterations spent on rejected pixels.
+//     [x_start, x_end) — only over the rows whose pixel centres the
+//     triangle can cover, and, for triangles at most eight columns wide,
+//     as one eight-lane compare mask per row; inside it u, v and the
+//     bilinear fetch are stepped with per-triangle constants
+//     (SpotProfile::RowSampler) and blended through the util::simd
+//     kernels, batched across every triangle of a call — a straight-line
+//     add/fetch/blend with no per-fragment branches, and no iterations
+//     spent on rejected pixels.
 //   * kReference — the original bounding-box walk testing all three edge
 //     functions per pixel. Kept selectable for equivalence testing and for
 //     the bench_raster_kernel ablation.
