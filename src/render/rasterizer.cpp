@@ -196,10 +196,14 @@ bool setup_triangle(const RasterTarget& target, MeshVertex a, MeshVertex b,
 // against, kept selectable for equivalence tests and ablation benches.
 // ---------------------------------------------------------------------------
 
+class SpanBatch;
+
+// The reference walk blends directly; the unused batch gives both fill
+// algorithms one kernel signature.
 template <BlendMode Mode>
 void raster_tri_reference(const RasterTarget& target, MeshVertex va, MeshVertex vb,
                           MeshVertex vc, float weight, const SpotProfile& profile,
-                          RasterStats& stats) {
+                          SpanBatch& /*batch*/, RasterStats& stats) {
   TriSetup s;
   if (!setup_triangle(target, va, vb, vc, s)) return;
 
@@ -614,32 +618,28 @@ class SmallRowSolve {
 template <class Visit>
 bool walk_rows(const TriSetup& s, const SpanFrame& f, detail::RowSolver solver,
                Visit&& visit) {
-  if (solver == detail::RowSolver::kWide) {
-    const WideRowSolve solve(s, f.gfloor, f.gceil);
-    for (int y = s.y_min; y <= s.y_max; ++y) {
-      int g_lo = 0;
-      int g_hi = 0;
-      solve.solve(y - s.ay, g_lo, g_hi);
-      visit(y, y - s.ay, g_lo, g_hi);
+  int y_lo = s.y_min;
+  int y_hi = s.y_max;
+  if (solver != detail::RowSolver::kWide) {
+    const CoverageWindow window = coverage_window(s, f);
+    const int lanes = window.k_hi - window.k_lo + 1;
+    if (lanes <= kSmallLanes) {
+      if (lanes <= 0) return true;
+      const SmallRowSolve solve(s, window.k_lo, lanes);
+      for (int y = window.y_lo; y <= window.y_hi; ++y) {
+        const unsigned mask = solve.row_mask(y - s.ay);
+        // An empty mask yields g_lo > g_hi (the guard bit above the lanes).
+        visit(y, y - s.ay, window.k_lo + std::countr_zero(mask | (1u << kSmallLanes)),
+              window.k_lo + std::bit_width(mask));
+      }
+      return true;
     }
-    return true;
+    if (solver == detail::RowSolver::kSmall) return false;
+    y_lo = window.y_lo;
+    y_hi = window.y_hi;
   }
-  const CoverageWindow window = coverage_window(s, f);
-  const int lanes = window.k_hi - window.k_lo + 1;
-  if (lanes <= kSmallLanes) {
-    if (lanes <= 0) return true;
-    const SmallRowSolve solve(s, window.k_lo, lanes);
-    for (int y = window.y_lo; y <= window.y_hi; ++y) {
-      const unsigned mask = solve.row_mask(y - s.ay);
-      // An empty mask yields g_lo > g_hi (the guard bit above the lanes).
-      visit(y, y - s.ay, window.k_lo + std::countr_zero(mask | (1u << kSmallLanes)),
-            window.k_lo + std::bit_width(mask));
-    }
-    return true;
-  }
-  if (solver == detail::RowSolver::kSmall) return false;
   const WideRowSolve solve(s, f.gfloor, f.gceil);
-  for (int y = window.y_lo; y <= window.y_hi; ++y) {
+  for (int y = y_lo; y <= y_hi; ++y) {
     int g_lo = 0;
     int g_hi = 0;
     solve.solve(y - s.ay, g_lo, g_hi);
@@ -770,14 +770,6 @@ void raster_tri_span(const RasterTarget& target, MeshVertex va, MeshVertex vb,
 // selected once per call instead of per triangle.
 // ---------------------------------------------------------------------------
 
-template <BlendMode Mode>
-void raster_tri_reference_batched(const RasterTarget& target, MeshVertex va,
-                                  MeshVertex vb, MeshVertex vc, float weight,
-                                  const SpotProfile& profile, SpanBatch& /*batch*/,
-                                  RasterStats& stats) {
-  raster_tri_reference<Mode>(target, va, vb, vc, weight, profile, stats);
-}
-
 using TriKernel = void (*)(const RasterTarget&, MeshVertex, MeshVertex, MeshVertex,
                            float, const SpotProfile&, SpanBatch&, RasterStats&);
 
@@ -787,8 +779,8 @@ TriKernel select_kernel(BlendMode mode, RasterAlgorithm algorithm) {
     return additive ? &raster_tri_span<BlendMode::kAdditive>
                     : &raster_tri_span<BlendMode::kMaximum>;
   }
-  return additive ? &raster_tri_reference_batched<BlendMode::kAdditive>
-                  : &raster_tri_reference_batched<BlendMode::kMaximum>;
+  return additive ? &raster_tri_reference<BlendMode::kAdditive>
+                  : &raster_tri_reference<BlendMode::kMaximum>;
 }
 
 void mesh_with_kernel(TriKernel kernel, const RasterTarget& target,
