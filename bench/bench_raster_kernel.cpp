@@ -649,7 +649,7 @@ int main(int argc, char** argv) {
   std::printf("  coverage %s; reference %.1f ns/triangle, span %.1f ns/triangle\n",
               small_identical ? "identical" : "DIFFERS",
               util::percentile(small_ref_ns, 0.5), util::percentile(small_span_ns, 0.5));
-  std::printf("  speedup: %.2fx, median of %d interleaved pairs [%.2f, %.2f] (gate: >= %.1fx)\n",
+  std::printf("  speedup: %.2fx, median of %d interleaved pairs [%.2f, %.2f] (gate: >= %.2fx)\n",
               small_speedup, repetitions, util::percentile(small_ratios, 0.0),
               util::percentile(small_ratios, 1.0), small_gate);
   if (small_tiers.avx2_rate > 0.0) {
@@ -728,7 +728,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (small_speedup < small_gate) {
-    std::printf("FAIL: small-triangle speedup %.2fx below the %.1fx gate\n",
+    std::printf("FAIL: small-triangle speedup %.2fx below the %.2fx gate\n",
                 small_speedup, small_gate);
     return 1;
   }
