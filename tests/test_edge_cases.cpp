@@ -224,7 +224,12 @@ TEST(EdgeCases, ZeroIntensitySpotLeavesNoTrace) {
 
 class CorruptFileTest : public ::testing::Test {
  protected:
-  std::string path_ = testing::TempDir() + "/dcsn_corrupt_test.bin";
+  // One file per test: ctest runs each test as its own process, in
+  // parallel, and a shared name let one test's TearDown delete another's
+  // file mid-test.
+  std::string path_ = testing::TempDir() + "/dcsn_corrupt_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                      ".bin";
   void TearDown() override { std::filesystem::remove(path_); }
 };
 
