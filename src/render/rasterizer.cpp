@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "util/simd.hpp"
 #include "util/simd_dispatch.hpp"
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace dcsn::render {
 
@@ -63,7 +60,7 @@ struct TriSetup {
   MeshVertex a, b, c;
   int x_min = 0, x_max = 0, y_min = 0, y_max = 0;  ///< global, inside target
   int ax = 0, ay = 0;                              ///< canonical anchor pixel
-  int gx_end = 0;  ///< bbox's exclusive right end in anchor units
+  int gx_begin = 0, gx_end = 0;  ///< bbox's columns [begin, end) in anchor units
   Edge ab, bc, ca;
   float inv_area = 0.0f;
   float min_x = 0.0f, max_x = 0.0f, min_y = 0.0f, max_y = 0.0f;  ///< extents
@@ -89,6 +86,11 @@ inline int ceil_to_int(float v) {
 // insane off-screen geometry ever hits the clamp, and the clamp itself is
 // target-independent.
 constexpr float kAnchorLimit = 4194304.0f;
+
+// The clamp on the bbox's own columns (TriSetup::gx_begin/gx_end): 2^30,
+// far enough that geometry past the anchor clamp keeps its columns, near
+// enough that the anchor-relative column stays inside int range.
+constexpr float kColumnLimit = 1073741824.0f;
 
 // How far beyond the target rect the span solver resolves a row's
 // *geometric* boundaries. The UV sampler is rebased at the geometric
@@ -136,11 +138,13 @@ bool setup_triangle(const RasterTarget& target, MeshVertex a, MeshVertex b,
   s.y_max = ceil_to_int(std::clamp(max_y, ty0, ty1 - 1.0f));
   if (s.x_min > s.x_max || s.y_min > s.y_max) return false;
 
-  // Target-independent canonical anchor, and the bbox's own right end in
-  // anchor units (the span solver's geometric walk limit).
+  // Target-independent canonical anchor, and the bbox's own columns in
+  // anchor units (the span solver's geometric walk limits; gx_begin is 0
+  // unless the anchor is clamped).
   s.ax = floor_to_int(std::clamp(min_x, -kAnchorLimit, kAnchorLimit));
   s.ay = floor_to_int(std::clamp(min_y, -kAnchorLimit, kAnchorLimit));
-  s.gx_end = ceil_to_int(std::clamp(max_x, -kAnchorLimit, kAnchorLimit)) - s.ax + 1;
+  s.gx_begin = floor_to_int(std::clamp(min_x, -kColumnLimit, kColumnLimit)) - s.ax;
+  s.gx_end = ceil_to_int(std::clamp(max_x, -kColumnLimit, kColumnLimit)) - s.ax + 1;
   s.min_x = min_x;
   s.max_x = max_x;
   s.min_y = min_y;
@@ -412,7 +416,7 @@ SpanFrame span_frame(const TriSetup& s) {
   SpanFrame f;
   f.klo = s.x_min - s.ax;
   f.kend = s.x_max - s.ax + 1;
-  f.gfloor = std::max(0, f.klo - kGeomSlack);
+  f.gfloor = std::max(s.gx_begin, f.klo - kGeomSlack);
   f.gceil = std::min(s.gx_end, f.kend + kGeomSlack);
   return f;
 }
@@ -509,118 +513,83 @@ CoverageWindow coverage_window(const TriSetup& s, const SpanFrame& f) {
 
 constexpr int kSmallLanes = 8;
 
-// The largest float below a finite m.
-inline float next_below(float m) {
-  if (m == 0.0f) return -std::numeric_limits<float>::denorm_min();
-  const auto bits = std::bit_cast<std::uint32_t>(m);
-  return std::bit_cast<float>(m > 0.0f ? bits - 1u : bits + 1u);
-}
+// Four float lanes and their comparison results, as GNU vector extensions:
+// one portable source that GCC and Clang compile to packed compares on
+// every target (SSE2 on x86-64, NEON on aarch64), with no per-ISA branch.
+using Quad = float __attribute__((vector_size(16)));
+using QuadBits = std::int32_t __attribute__((vector_size(16)));
 
-#if defined(__SSE2__)
-// next_below per lane: one ulp down in magnitude for m > 0, up for m < 0,
-// and -denorm_min for either zero.
-inline __m128 next_below(__m128 m) {
-  const __m128 zero = _mm_setzero_ps();
-  const __m128i bits = _mm_castps_si128(m);
-  const __m128i pos = _mm_castps_si128(_mm_cmpgt_ps(m, zero));  // -1 where m > 0
-  const __m128i neg = _mm_castps_si128(_mm_cmplt_ps(m, zero));  // -1 where m < 0
-  const __m128i moved = _mm_sub_epi32(_mm_add_epi32(bits, pos), neg);
-  const __m128i is_zero = _mm_castps_si128(_mm_cmpeq_ps(m, zero));
-  const __m128i below_zero = _mm_set1_epi32(static_cast<int>(0x80000001u));
-  return _mm_castsi128_ps(_mm_or_si128(_mm_andnot_si128(is_zero, moved),
-                                       _mm_and_si128(is_zero, below_zero)));
+inline Quad splat(float v) { return Quad{v, v, v, v}; }
+inline QuadBits splat_bits(std::int32_t v) { return QuadBits{v, v, v, v}; }
+
+// Per lane, the largest float below a finite m: one ulp down in magnitude
+// for m > 0, up for m < 0, and -denorm_min for either zero. (Comparison
+// results are -1 where true.)
+inline Quad next_below(Quad m) {
+  const auto bits = std::bit_cast<QuadBits>(m);
+  const QuadBits moved = bits + (m > 0.0f) - (m < 0.0f);
+  const QuadBits zero = m == 0.0f;
+  const QuadBits below_zero = splat_bits(static_cast<std::int32_t>(0x80000001u));
+  return std::bit_cast<Quad>((moved & ~zero) | (below_zero & zero));
 }
-#endif
 
 class SmallRowSolve {
  public:
   SmallRowSolve(const TriSetup& s, int k_base, int lanes) {
     const Edge* edges[3] = {&s.ab, &s.bc, &s.ca};
-#if defined(__SSE2__)
-    const __m128i base = _mm_set1_epi32(k_base);
-    const __m128i lane_lo = _mm_setr_epi32(0, 1, 2, 3);
-    const __m128i lane_hi = _mm_setr_epi32(4, 5, 6, 7);
-    const __m128 kx_lo = _mm_cvtepi32_ps(_mm_add_epi32(base, lane_lo));
-    const __m128 kx_hi = _mm_cvtepi32_ps(_mm_add_epi32(base, lane_hi));
-    const __m128 live_lo = _mm_castsi128_ps(_mm_cmplt_epi32(lane_lo, _mm_set1_epi32(lanes)));
-    const __m128 live_hi = _mm_castsi128_ps(_mm_cmplt_epi32(lane_hi, _mm_set1_epi32(lanes)));
-    const __m128 inf = _mm_set1_ps(std::numeric_limits<float>::infinity());
-    const auto store = [&](float* out, __m128 m, bool top_left, __m128 live) {
-      if (top_left) m = next_below(m);
-      _mm_storeu_ps(out, _mm_or_ps(_mm_and_ps(live, m), _mm_andnot_ps(live, inf)));
-    };
+    // kx = k_base + j per lane (exact: the window lies far below 2^24).
+    const Quad kx[2] = {splat(static_cast<float>(k_base)) + Quad{0, 1, 2, 3},
+                        splat(static_cast<float>(k_base)) + Quad{4, 5, 6, 7}};
+    const QuadBits live[2] = {QuadBits{0, 1, 2, 3} < lanes, QuadBits{4, 5, 6, 7} < lanes};
+    const auto inf = std::bit_cast<QuadBits>(splat(std::numeric_limits<float>::infinity()));
     for (int i = 0; i < 3; ++i) {
       const Edge& e = *edges[i];
-      const __m128 dy = _mm_set1_ps(e.dy);
-      store(&threshold_[i][0], _mm_mul_ps(kx_lo, dy), e.top_left, live_lo);
-      store(&threshold_[i][4], _mm_mul_ps(kx_hi, dy), e.top_left, live_hi);
-      origin_[i] = e.origin;
-      dx_[i] = e.dx;
-    }
-#else
-    for (int i = 0; i < 3; ++i) {
-      const Edge& e = *edges[i];
-      for (int j = 0; j < kSmallLanes; ++j) {
-        const float m = static_cast<float>(k_base + j) * e.dy;
-        threshold_[i][j] = j >= lanes ? std::numeric_limits<float>::infinity()
-                           : e.top_left ? next_below(m)
-                                        : m;
+      for (int h = 0; h < 2; ++h) {
+        Quad m = kx[h] * e.dy;
+        if (e.top_left) m = next_below(m);
+        threshold_[i][h] =
+            std::bit_cast<Quad>((std::bit_cast<QuadBits>(m) & live[h]) | (inf & ~live[h]));
       }
       origin_[i] = e.origin;
       dx_[i] = e.dx;
     }
-#endif
   }
 
   // Bit j set: column k_base + j of row ky is admitted by all three edges.
   [[nodiscard]] unsigned row_mask(int ky) const {
     const float kyf = static_cast<float>(ky);
-    const float r0 = origin_[0] + kyf * dx_[0];
-    const float r1 = origin_[1] + kyf * dx_[1];
-    const float r2 = origin_[2] + kyf * dx_[2];
-#if defined(__SSE2__)
-    const __m128 v0 = _mm_set1_ps(r0);
-    const __m128 v1 = _mm_set1_ps(r1);
-    const __m128 v2 = _mm_set1_ps(r2);
-    const auto half = [&](int j) {
-      const __m128 in = _mm_and_ps(
-          _mm_and_ps(_mm_cmplt_ps(_mm_loadu_ps(&threshold_[0][j]), v0),
-                     _mm_cmplt_ps(_mm_loadu_ps(&threshold_[1][j]), v1)),
-          _mm_cmplt_ps(_mm_loadu_ps(&threshold_[2][j]), v2));
-      return static_cast<unsigned>(_mm_movemask_ps(in));
+    const Quad r0 = splat(origin_[0] + kyf * dx_[0]);
+    const Quad r1 = splat(origin_[1] + kyf * dx_[1]);
+    const Quad r2 = splat(origin_[2] + kyf * dx_[2]);
+    const auto admitted = [&](int half) {
+      return (threshold_[0][half] < r0) & (threshold_[1][half] < r1) &
+             (threshold_[2][half] < r2);
     };
-    return half(0) | (half(4) << 4);
-#else
-    unsigned mask = 0;
-    for (int j = 0; j < kSmallLanes; ++j) {
-      const bool in = threshold_[0][j] < r0 && threshold_[1][j] < r1 &&
-                      threshold_[2][j] < r2;
-      mask |= static_cast<unsigned>(in) << j;
-    }
-    return mask;
-#endif
+    const QuadBits bits = (admitted(0) & QuadBits{1, 2, 4, 8}) |
+                          (admitted(1) & QuadBits{16, 32, 64, 128});
+    return static_cast<unsigned>(bits[0] | bits[1] | bits[2] | bits[3]);
   }
 
  private:
-  float threshold_[3][kSmallLanes];
+  Quad threshold_[3][2];  ///< [edge][lanes 0-3, 4-7]
   float origin_[3], dx_[3];
 };
 
 // Walks a triangle's rows and calls visit(y, ky, g_lo, g_hi) with each
-// row's geometric covered interval (empty when g_lo >= g_hi). kAuto is the
+// row's geometric covered interval (empty when g_lo >= g_hi); returns true
+// when the small-triangle solver served the triangle. kAuto is the
 // production walk: the coverage window's rows, solved by the small-triangle
 // solver when the window is at most eight columns wide (a function of the
 // triangle alone: for such triangles the solve window is the whole bbox)
 // and by the wide solver otherwise. kWide is the walk before the coverage
-// window existed — every bbox row, wide solver — and kSmall forces the
-// small solver (returning false when the window is too wide); both exist
-// for the equivalence fuzz suite.
+// window existed — every bbox row, wide solver — kept for the equivalence
+// fuzz suite.
 template <class Visit>
 bool walk_rows(const TriSetup& s, const SpanFrame& f, detail::RowSolver solver,
                Visit&& visit) {
   int y_lo = s.y_min;
   int y_hi = s.y_max;
-  if (solver != detail::RowSolver::kWide) {
+  if (solver == detail::RowSolver::kAuto) {
     const CoverageWindow window = coverage_window(s, f);
     const int lanes = window.k_hi - window.k_lo + 1;
     if (lanes <= kSmallLanes) {
@@ -634,7 +603,6 @@ bool walk_rows(const TriSetup& s, const SpanFrame& f, detail::RowSolver solver,
       }
       return true;
     }
-    if (solver == detail::RowSolver::kSmall) return false;
     y_lo = window.y_lo;
     y_hi = window.y_hi;
   }
@@ -645,7 +613,7 @@ bool walk_rows(const TriSetup& s, const SpanFrame& f, detail::RowSolver solver,
     solve.solve(y - s.ay, g_lo, g_hi);
     visit(y, y - s.ay, g_lo, g_hi);
   }
-  return true;
+  return false;
 }
 
 template <BlendMode Mode>
@@ -828,15 +796,15 @@ namespace detail {
 
 bool solve_span_rows(const RasterTarget& target, const MeshVertex& a,
                      const MeshVertex& b, const MeshVertex& c, RowSolver solver,
-                     std::vector<SolvedRow>& rows) {
+                     std::vector<SolvedRow>& rows, bool* small) {
   TriSetup s;
   if (!setup_triangle(target, a, b, c, s)) return false;
-  std::vector<SolvedRow> solved;
-  const bool served = walk_rows(s, span_frame(s), solver, [&](int y, int, int g_lo, int g_hi) {
-    solved.push_back({y, s.ax + g_lo, s.ax + std::max(g_lo, g_hi)});
-  });
-  if (served) rows.insert(rows.end(), solved.begin(), solved.end());
-  return served;
+  const bool served_small =
+      walk_rows(s, span_frame(s), solver, [&](int y, int, int g_lo, int g_hi) {
+        rows.push_back({y, s.ax + g_lo, s.ax + std::max(g_lo, g_hi)});
+      });
+  if (small != nullptr) *small = served_small;
+  return true;
 }
 
 }  // namespace detail

@@ -128,9 +128,9 @@ namespace detail {
 /// The kSpan row solvers, exposed for the equivalence fuzz suite
 /// (tests/test_rasterizer.cpp). kAuto is the production walk (the coverage
 /// window's rows; the small-triangle solver when that window is at most
-/// eight columns wide, the wide solver otherwise); kSmall forces the
-/// small-triangle solver; kWide walks every bbox row with the wide solver.
-enum class RowSolver { kAuto, kSmall, kWide };
+/// eight columns wide, the wide solver otherwise); kWide walks every bbox
+/// row with the wide solver.
+enum class RowSolver { kAuto, kWide };
 
 /// One walked row: its geometric covered pixels [x_begin, x_end) in global
 /// coordinates, not clipped to the target (x_begin == x_end when empty).
@@ -142,10 +142,11 @@ struct SolvedRow {
 
 /// Appends the rows `solver` walks for the triangle. Returns false, and
 /// appends nothing, when setup rejects the triangle (degenerate, non-finite
-/// or off-target) or kSmall cannot serve it.
+/// or off-target). `small`, when given, is set to whether the
+/// small-triangle solver served the triangle.
 bool solve_span_rows(const RasterTarget& target, const MeshVertex& a,
                      const MeshVertex& b, const MeshVertex& c, RowSolver solver,
-                     std::vector<SolvedRow>& rows);
+                     std::vector<SolvedRow>& rows, bool* small = nullptr);
 
 }  // namespace detail
 

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numbers>
 #include <vector>
 
 #include "core/dnc_synthesizer.hpp"
@@ -494,12 +495,11 @@ struct RowTally {
   int small_served = 0;
 };
 
-// Runs one triangle through every row solver on a (possibly clipped) target
-// and checks, row by row: the production walk and the forced small-triangle
-// solver (when it can serve the triangle) report exactly the wide solver's
-// geometric interval on every row they walk, and every bbox row they skip
-// is empty under the wide solver; and the wide interval, clipped to the
-// target, is exactly the reference walk's coverage.
+// Runs one triangle through both row solvers on a (possibly clipped) target
+// and checks, row by row: the production walk reports exactly the wide
+// solver's geometric interval on every row it walks, and every bbox row it
+// skips is empty under the wide solver; and the wide interval, clipped to
+// the target, is exactly the reference walk's coverage.
 void expect_row_solvers_agree(const MeshVertex& a, const MeshVertex& b,
                               const MeshVertex& c, int ox, int oy, int w, int h,
                               RowTally& tally) {
@@ -508,24 +508,22 @@ void expect_row_solvers_agree(const MeshVertex& a, const MeshVertex& b,
   ca.v = cb.v = cc.v = 0.5f;
   Framebuffer fb(w, h);
   const RasterTarget target{fb.pixels(), ox, oy, RasterAlgorithm::kReference};
-  std::vector<SolvedRow> wide, walked, small;
+  std::vector<SolvedRow> wide, walked;
+  bool small = false;
   const bool wide_ok =
       dcsn::render::detail::solve_span_rows(target, ca, cb, cc, RowSolver::kWide, wide);
-  const bool auto_ok =
-      dcsn::render::detail::solve_span_rows(target, ca, cb, cc, RowSolver::kAuto, walked);
-  const bool small_ok =
-      dcsn::render::detail::solve_span_rows(target, ca, cb, cc, RowSolver::kSmall, small);
+  const bool auto_ok = dcsn::render::detail::solve_span_rows(target, ca, cb, cc,
+                                                             RowSolver::kAuto, walked, &small);
   RasterStats stats;
   dcsn::render::rasterize_triangle(target, ca, cb, cc, 1.0f, coverage_profile(),
                                    BlendMode::kAdditive, stats);
   ++tally.triangles;
   ASSERT_EQ(wide_ok, auto_ok);
   if (!wide_ok) {
-    EXPECT_FALSE(small_ok);
     EXPECT_EQ(stats.fragments, 0);
     return;
   }
-  if (small_ok) ++tally.small_served;
+  if (small) ++tally.small_served;
 
   const auto find = [](const std::vector<SolvedRow>& rows, int y) -> const SolvedRow* {
     for (const SolvedRow& r : rows) {
@@ -539,19 +537,16 @@ void expect_row_solvers_agree(const MeshVertex& a, const MeshVertex& b,
     if (p_empty || q_empty) return p_empty == q_empty;
     return p.x_begin == q.x_begin && p.x_end == q.x_end;
   };
-  for (const std::vector<SolvedRow>* other : {&walked, &small}) {
-    if (other == &small && !small_ok) continue;
-    for (const SolvedRow& r : *other) {
-      const SolvedRow* ref = find(wide, r.y);
-      ASSERT_NE(ref, nullptr) << "row " << r.y << " walked outside the bbox";
-      EXPECT_TRUE(same(*ref, r)) << "row " << r.y << ": wide [" << ref->x_begin << ", "
-                                 << ref->x_end << ") vs [" << r.x_begin << ", "
-                                 << r.x_end << ")";
-    }
-    for (const SolvedRow& r : wide) {
-      if (find(*other, r.y) == nullptr) {
-        EXPECT_GE(r.x_begin, r.x_end) << "skipped row " << r.y << " is covered";
-      }
+  for (const SolvedRow& r : walked) {
+    const SolvedRow* ref = find(wide, r.y);
+    ASSERT_NE(ref, nullptr) << "row " << r.y << " walked outside the bbox";
+    EXPECT_TRUE(same(*ref, r)) << "row " << r.y << ": wide [" << ref->x_begin << ", "
+                               << ref->x_end << ") vs [" << r.x_begin << ", " << r.x_end
+                               << ")";
+  }
+  for (const SolvedRow& r : wide) {
+    if (find(walked, r.y) == nullptr) {
+      EXPECT_GE(r.x_begin, r.x_end) << "skipped row " << r.y << " is covered";
     }
   }
 
@@ -625,6 +620,115 @@ TEST(SmallTriangleSolver, HostileInputMatchesWideSolverAndReference) {
   expect_row_solvers_agree(vtx(1.0f, 7.45f), vtx(9.0f, 7.45f), vtx(5.0f, 7.55f), 0, 0, 64,
                            48, tally);
   EXPECT_GT(tally.small_served, 0);
+}
+
+// Whether the wide solver covers a pixel whose centre lies strictly outside
+// the triangle's float extent in x or y: a centre admitted only through
+// edge-function rounding, which the coverage window's slack must keep.
+bool covers_centre_outside_extent(const MeshVertex& a, const MeshVertex& b,
+                                  const MeshVertex& c) {
+  Framebuffer fb(64, 48);
+  const RasterTarget target{fb.pixels(), 0, 0};
+  std::vector<SolvedRow> rows;
+  if (!dcsn::render::detail::solve_span_rows(target, a, b, c, RowSolver::kWide, rows)) {
+    return false;
+  }
+  const float min_x = std::min({a.x, b.x, c.x});
+  const float max_x = std::max({a.x, b.x, c.x});
+  const float min_y = std::min({a.y, b.y, c.y});
+  const float max_y = std::max({a.y, b.y, c.y});
+  for (const SolvedRow& r : rows) {
+    if (r.x_begin >= r.x_end) continue;
+    const float y = static_cast<float>(r.y) + 0.5f;
+    const float first = static_cast<float>(r.x_begin) + 0.5f;
+    const float last = static_cast<float>(r.x_end) - 0.5f;
+    if (y < min_y || y > max_y || first < min_x || last > max_x) return true;
+  }
+  return false;
+}
+
+TEST(SmallTriangleSolver, CoverageWindowKeepsRoundingAdmittedCentres) {
+  // Needles whose tip lies a few ulps past a pixel centre in both x and y:
+  // the float edge functions admit that centre although it lies outside
+  // the extent, so a window trimmed without its slack would drop the pixel
+  // (in its row or its column). Three are small enough for the
+  // small-triangle solver, two take the wide one.
+  const MeshVertex cases[][3] = {
+      {vtx(10.4999971f, 20.5000019f), vtx(4.62268734f, 24.1896839f),
+       vtx(4.6446991f, 24.2245159f)},
+      {vtx(10.4999981f, 9.49999619f), vtx(7.7153182f, 3.91726804f),
+       vtx(7.7109499f, 3.91944885f)},
+      {vtx(13.5000029f, 41.4999962f), vtx(16.774147f, 36.967926f),
+       vtx(16.7723522f, 36.966629f)},
+      {vtx(24.4999962f, 31.5000019f), vtx(11.1298714f, 38.1918716f),
+       vtx(11.1403074f, 38.2126808f)},
+      {vtx(9.50000381f, 13.4999981f), vtx(17.7921486f, 8.07796478f),
+       vtx(17.7902775f, 8.07510376f)},
+  };
+  RowTally tally;
+  for (const auto& t : cases) {
+    EXPECT_TRUE(covers_centre_outside_extent(t[0], t[1], t[2]))
+        << "tip (" << t[0].x << ", " << t[0].y << ") no longer reaches the slack";
+    expect_row_solvers_agree(t[0], t[1], t[2], 0, 0, 64, 48, tally);
+    expect_row_solvers_agree(t[0], t[1], t[2], 8, 6, 8, 8, tally);  // clipped
+  }
+  EXPECT_GT(tally.small_served, 0);
+  EXPECT_LT(tally.small_served, tally.triangles);
+
+  // Tips exactly on a pixel centre and one ulp to either side in x and y,
+  // for needles and wide wedges pointing in eight directions.
+  for (int dir = 0; dir < 8; ++dir) {
+    const double angle = dir * std::numbers::pi / 4.0 + 0.3;
+    for (const double spread : {1e-3, 0.5}) {
+      for (int ux = -1; ux <= 1; ++ux) {
+        for (int uy = -1; uy <= 1; ++uy) {
+          const float tx = std::nextafter(20.5f, ux < 0 ? 0.0f : ux > 0 ? 64.0f : 20.5f);
+          const float ty = std::nextafter(20.5f, uy < 0 ? 0.0f : uy > 0 ? 48.0f : 20.5f);
+          const double ex = 6.0 * std::cos(angle);
+          const double ey = 6.0 * std::sin(angle);
+          const double px = -spread * std::sin(angle);
+          const double py = spread * std::cos(angle);
+          expect_row_solvers_agree(
+              vtx(tx, ty), vtx(static_cast<float>(tx + ex + px), static_cast<float>(ty + ey + py)),
+              vtx(static_cast<float>(tx + ex - px), static_cast<float>(ty + ey - py)), 0, 0, 64,
+              48, tally);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(SmallTriangleSolver, SliversNearAnchorLimitMatchWideSolverAndReference) {
+  // Long thin slivers whose extent starts just below, at, and just above the
+  // 2^22 anchor limit (and its negative), along x and along y: the window
+  // applies below the limit and falls back to the bbox at and past it.
+  RowTally tally;
+  constexpr float kLimit = 4194304.0f;  // 2^22
+  for (const float sign : {1.0f, -1.0f}) {
+    const float limit = sign * kLimit;
+    const int origin = static_cast<int>(limit) - 16;
+    for (const float start : {-12.0f, -8.25f, -0.5f, -0.25f, 0.0f, 0.5f, 1.0f}) {
+      const float lo = limit + start;
+      for (const float thickness : {0.25f, 0.5f, 1.5f}) {
+        // Along x: a 12-pixel sliver crossing a few rows.
+        SCOPED_TRACE(::testing::Message() << "lo " << lo << " thickness " << thickness);
+        expect_row_solvers_agree(vtx(lo, 3.5f), vtx(lo + 12.0f, 3.5f + thickness),
+                                 vtx(lo + 6.0f, 3.5f + 2.0f * thickness), origin, 0, 40, 12,
+                                 tally);
+        // Along y, and a short one that fits the small-triangle solver.
+        expect_row_solvers_agree(vtx(5.25f, lo), vtx(5.25f + thickness, lo + 12.0f),
+                                 vtx(5.25f + 2.0f * thickness, lo + 5.0f), 0, origin, 12, 40,
+                                 tally);
+        expect_row_solvers_agree(vtx(lo, lo), vtx(lo + 6.0f, lo + thickness),
+                                 vtx(lo + 0.5f, lo + 3.0f * thickness), origin, origin, 40, 40,
+                                 tally);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(tally.small_served, 0);
+  EXPECT_LT(tally.small_served, tally.triangles);
 }
 
 TEST(SpanIntegration, SynthesizerAlgorithmEquivalence) {
